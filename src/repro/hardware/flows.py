@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,6 +46,16 @@ _EPS_RATE = 1e-3
 def _flow_id(f: "Flow") -> int:
     """Sort key for deterministic flow iteration (creation order)."""
     return f.id
+
+
+def _insert_by_id(flows: list["Flow"], flow: "Flow") -> None:
+    """Insert into an id-ordered list.  Ids rise monotonically, so admits
+    append — except latency-delayed admits, which can arrive out of
+    creation order."""
+    if not flows or flows[-1].id < flow.id:
+        flows.append(flow)
+    else:
+        insort(flows, flow, key=_flow_id)
 
 
 #: Optional replacement for :meth:`FlowNetwork._assign_rates_vec`, installed
@@ -91,10 +101,15 @@ class Resource:
     beyond ``knee`` simultaneous flows, effective capacity shrinks as
     ``capacity / (1 + alpha * (n - knee))``.  Zero alpha disables it
     (links, copy engines).
+
+    The network keeps the waterfilling inputs resident on the resource:
+    ``wsum`` and ``eff_capacity`` are recomputed from ``flows`` (in id
+    order) only when membership changed since the last rebalance.
     """
 
     __slots__ = ("name", "capacity", "flows", "contention_knee",
-                 "contention_alpha")
+                 "contention_alpha", "sat_threshold", "wsum", "eff_capacity",
+                 "_fill_wsum", "_fill_left")
 
     def __init__(self, name: str, capacity: float, contention_knee: int = 0,
                  contention_alpha: float = 0.0):
@@ -106,8 +121,17 @@ class Resource:
         self.capacity = capacity
         self.contention_knee = contention_knee
         self.contention_alpha = contention_alpha
-        #: live flows traversing this resource (maintained by the network)
-        self.flows: set["Flow"] = set()
+        #: residual capacity at or below which the resource is saturated
+        self.sat_threshold = _EPS_RATE * max(1.0, capacity / 1e9)
+        #: live flows traversing this resource, in creation-id order
+        #: (maintained by the network)
+        self.flows: list["Flow"] = []
+        #: member weight sum and stream-degraded capacity (cached)
+        self.wsum = 0.0
+        self.eff_capacity = capacity
+        # scratch state of one filling pass (see FlowNetwork._assign_rates)
+        self._fill_wsum = 0.0
+        self._fill_left = 0.0
 
     def effective_capacity(self, n_flows: int | None = None) -> float:
         """Capacity available given the number of concurrent streams."""
@@ -142,7 +166,7 @@ class Flow:
     """
 
     __slots__ = ("id", "demand", "weights", "remaining", "rate", "event",
-                 "label", "streams")
+                 "label", "streams", "terms")
 
     _ids = itertools.count(1)
 
@@ -161,6 +185,9 @@ class Flow:
         self.event = event
         self.label = label
         self.streams = streams or {}
+        #: ``(resource, weight, streams)`` per traversed resource
+        self.terms = tuple((r, w, self.streams.get(r, 1.0))
+                           for r, w in weights.items())
 
     def streams_on(self, res: Resource) -> float:
         return self.streams.get(res, 1.0)
@@ -192,7 +219,14 @@ class FlowNetwork:
         #: smallest active-flow count routed to the numpy waterfilling
         #: (below it the scalar path is faster; tests set 0 to force numpy)
         self.vector_min_flows = 8
-        self._active: set[Flow] = set()
+        # --- resident scalar state (see _admit/_retire/_assign_rates) ------
+        # Active flows in creation-id order, shared by both paths; every
+        # float accumulation and completion walks it.  ``_busy`` holds the
+        # resources with members (insertion order), ``_dirty`` those whose
+        # membership changed since their cached sums were last recomputed.
+        self._flows: list[Flow] = []
+        self._busy: dict[Resource, None] = {}
+        self._dirty: dict[Resource, None] = {}
         self._last_update = 0.0
         self._wake_generation = 0
         self._rebalance_pending = False
@@ -213,8 +247,7 @@ class FlowNetwork:
         # saturated resource freezes through the sat-threshold mask
         # regardless, so results stay bitwise-identical to the scalar path
         # (the differential battery in tests/hardware/test_vector_flows.py
-        # holds this to account).
-        self._ordered: list[Flow] = []     # id-ordered mirror of _active
+        # holds this to account).  Rows are gathered in ``_flows`` order.
         self._vslot: dict[Flow, int] = {}  # flow -> row slot
         self._vfree: list[int] = []        # recycled row slots
         self._vnext_row = 0                # next never-used row slot
@@ -226,7 +259,7 @@ class FlowNetwork:
         self._vknee = np.zeros(0)          # per-column contention knee
         self._valpha = np.zeros(0)         # per-column contention alpha
         self._vthresh = np.zeros(0)        # per-column saturation threshold
-        #: resident state mirrors _active (goes stale when flows change
+        #: resident state mirrors _flows (goes stale when flows change
         #: while ``vectorized`` is off; the next vector rebalance rebuilds)
         self._vclean = True
 
@@ -261,14 +294,16 @@ class FlowNetwork:
 
     @property
     def active_count(self) -> int:
-        return len(self._active)
+        return len(self._flows)
 
     # -- internals ----------------------------------------------------------
     def _admit(self, flow: Flow) -> None:
         self._advance()
-        self._active.add(flow)
-        for res in flow.weights:
-            res.flows.add(flow)
+        _insert_by_id(self._flows, flow)
+        dirty = self._dirty
+        for res, _w, _s in flow.terms:
+            _insert_by_id(res.flows, flow)
+            dirty[res] = None
         if self.vectorized:
             self._vec_add(flow)
         else:
@@ -286,9 +321,11 @@ class FlowNetwork:
         self._rebalance()
 
     def _retire(self, flow: Flow) -> None:
-        self._active.discard(flow)
-        for res in flow.weights:
-            res.flows.discard(flow)
+        self._flows.remove(flow)
+        dirty = self._dirty
+        for res, _w, _s in flow.terms:
+            res.flows.remove(flow)
+            dirty[res] = None
         if self.vectorized:
             self._vec_remove(flow)
         else:
@@ -317,7 +354,7 @@ class FlowNetwork:
         self._vcaps[j] = res.capacity
         self._vknee[j] = res.contention_knee
         self._valpha[j] = res.contention_alpha
-        self._vthresh[j] = _EPS_RATE * max(1.0, res.capacity / 1e9)
+        self._vthresh[j] = res.sat_threshold
 
     def _vrow_alloc(self) -> int:
         """Hand out a zeroed row slot (freelist first, then amortized growth)."""
@@ -348,17 +385,10 @@ class FlowNetwork:
         self._vslot[flow] = slot
         row_w = self._vW[slot]
         row_s = self._vS[slot]
-        for r, w in flow.weights.items():
+        for r, w, s in flow.terms:
             j = index[r]
             row_w[j] = w
-            row_s[j] = flow.streams_on(r)
-        # Flow ids rise monotonically, so admits append in id order — except
-        # latency-delayed admits, which can arrive out of creation order.
-        ordered = self._ordered
-        if not ordered or ordered[-1].id < flow.id:
-            ordered.append(flow)
-        else:
-            insort(ordered, flow, key=_flow_id)
+            row_s[j] = s
 
     def _vec_remove(self, flow: Flow) -> None:
         """Incremental resident-state update for one retired flow."""
@@ -373,7 +403,6 @@ class FlowNetwork:
         self._vW[slot].fill(0.0)
         self._vS[slot].fill(0.0)
         self._vfree.append(slot)
-        self._ordered.remove(flow)
 
     def _vec_sync(self) -> list[Flow]:
         """Return the id-ordered active flows, rebuilding resident state
@@ -384,11 +413,10 @@ class FlowNetwork:
             self._vnext_row = 0
             self._vW[:, :] = 0.0
             self._vS[:, :] = 0.0
-            self._ordered = []
             self._vclean = True
-            for flow in sorted(self._active, key=_flow_id):
+            for flow in self._flows:
                 self._vec_add(flow)
-        return self._ordered
+        return self._flows
 
     def _advance(self) -> None:
         """Account bytes transferred since the last state change."""
@@ -397,15 +425,13 @@ class FlowNetwork:
         self._last_update = now
         if dt <= 0:
             return
-        active = self._active
-        if self.vectorized and len(active) >= self.vector_min_flows:
+        ordered = self._flows
+        if self.vectorized and len(ordered) >= self.vector_min_flows:
             # Per-flow byte accounts are independent elementwise IEEE ops,
             # bitwise-equal to the scalar loop (zero-rate flows subtract an
             # exact 0.0).  Only ``completed_bytes`` — a tolerance-compared
-            # lifetime stat whose scalar accumulation order is already
-            # address-dependent — is summed in id order instead.
-            ordered = (self._ordered if self._vclean
-                       else sorted(active, key=_flow_id))
+            # lifetime stat — is summed as one array total instead of
+            # flow by flow.
             count = len(ordered)
             moved = np.fromiter((f.remaining for f in ordered), np.float64,
                                 count=count)
@@ -417,7 +443,7 @@ class FlowNetwork:
                 flow.remaining = rem
             self.completed_bytes += float(np.add.reduce(rates))
             return
-        for flow in active:
+        for flow in ordered:
             if flow.rate > 0:
                 moved = flow.rate * dt
                 flow.remaining -= moved
@@ -425,13 +451,12 @@ class FlowNetwork:
 
     def _rebalance(self) -> None:
         """Recompute max-min fair rates and reschedule the next completion."""
-        # Sorted by creation id so completion events fire in a
+        # In creation-id order so completion events fire in a
         # memory-layout-independent order (see _assign_rates).
-        finished = sorted(
-            (f for f in self._active if f.remaining <= _EPS_BYTES), key=_flow_id)
+        finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
         for flow in finished:
             self._retire(flow)
-        if self.vectorized and len(self._active) >= self.vector_min_flows:
+        if self.vectorized and len(self._flows) >= self.vector_min_flows:
             self.vector_assignments += 1
             ordered = self._vec_sync()
             kernel = _WATERFILL_KERNEL
@@ -441,81 +466,86 @@ class FlowNetwork:
                 self._assign_rates_vec(ordered)
         else:
             self.scalar_assignments += 1
-            self._assign_rates(self._active)
+            self._assign_rates()
         for flow in finished:
             flow.remaining = 0.0
             flow.event.succeed(None)
         self._schedule_wake()
 
-    @staticmethod
-    def _assign_rates(flows: Iterable[Flow]) -> None:
-        """Weighted progressive filling over the union of traversed resources.
+    def _assign_rates(self) -> None:
+        """Weighted progressive filling over the resources of active flows.
 
-        Incremental bookkeeping keeps each filling round O(|flows| +
-        |resources|): per-resource weight sums and member sets shrink as
-        flows freeze, instead of being recomputed from scratch.
+        The inputs stay resident between rebalances: each resource caches
+        its weight sum and stream-degraded capacity, recomputed only when
+        its membership changed since the last call.  A recompute walks the
+        members in creation-id order, so every float is summed in the same
+        order as a from-scratch pass and rates are bitwise-identical to one
+        (tests/hardware/reference_flows.py is that oracle).  Flow ids are
+        per-process creation counters, identical for the same cell in any
+        process; raw set order is keyed on object addresses, so summing in
+        it would give ULP-different rates from run to run and break the
+        byte-identical serial/parallel CSV guarantee.
 
-        Every float accumulation here walks flows in creation-id order.
-        Flow ids are per-process creation counters, identical for the same
-        cell in any process; raw set order is keyed on object addresses, so
-        summing in it would give ULP-different rates from run to run and
-        break the byte-identical serial/parallel CSV guarantee.
+        Filling rounds visit only live resources (weight sum > 1e-12);
+        weight sums only shrink as flows freeze, so a pruned resource
+        never revives.  Resource order can only pick which of several
+        exactly-tied bottlenecks is named ``bottleneck``: every saturated
+        resource freezes its members through the threshold test anyway.
         """
-        ordered = sorted(flows, key=_flow_id)
-        for f in ordered:
-            f.rate = 0.0
-        residual: dict[Resource, float] = {}
-        wsum: dict[Resource, float] = {}
-        members: dict[Resource, set[Flow]] = {}
-        streams: dict[Resource, float] = {}
-        for f in ordered:
-            for r, w in f.weights.items():
-                wsum[r] = wsum.get(r, 0.0) + w
-                streams[r] = streams.get(r, 0.0) + f.streams_on(r)
-                try:
-                    members[r].add(f)
-                except KeyError:
-                    members[r] = {f}
-        for r, n in streams.items():
-            residual[r] = r.effective_capacity(int(round(n)))
+        flows = self._flows
+        if not flows:
+            return
+        busy = self._busy
+        dirty = self._dirty
+        if dirty:
+            for r in dirty:
+                members = r.flows
+                if not members:
+                    busy.pop(r, None)
+                    continue
+                wsum = 0.0
+                streams = 0.0
+                for f in members:
+                    wsum += f.weights[r]
+                    streams += f.streams.get(r, 1.0)
+                r.wsum = wsum
+                r.eff_capacity = r.effective_capacity(int(round(streams)))
+                busy[r] = None
+            dirty.clear()
+        live = []
+        for r in busy:
+            r._fill_wsum = ws = r.wsum
+            r._fill_left = r.eff_capacity
+            if ws > 1e-12:
+                live.append(r)
 
-        unfrozen = set(ordered)
-
-        def freeze(f: Flow) -> None:
-            for r, w in f.weights.items():
-                wsum[r] -= w
-                members[r].discard(f)
-
+        unfrozen = set(flows)
         # All unfrozen flows carry the same uniform rate, so flows freeze on
         # their demand caps in ascending-demand order: a sorted sweep frees
         # whole batches per filling round instead of one flow at a time.
         # (Stable sort over the id-ordered list: demand ties break by id.)
-        by_demand = sorted(ordered, key=lambda f: f.demand)
+        by_demand = sorted(flows, key=lambda f: f.demand)
+        n = len(by_demand)
         demand_ptr = 0
         rate = 0.0  # the uniform rate every unfrozen flow has received
         while unfrozen:
             # Largest uniform rate increment every unfrozen flow can take.
-            while demand_ptr < len(by_demand) and by_demand[demand_ptr] not in unfrozen:
+            while demand_ptr < n and by_demand[demand_ptr] not in unfrozen:
                 demand_ptr += 1
             inc = (by_demand[demand_ptr].demand - rate
-                   if demand_ptr < len(by_demand) else float("inf"))
+                   if demand_ptr < n else float("inf"))
             bottleneck: Optional[Resource] = None
-            for r, cap_left in residual.items():
-                ws = wsum[r]
-                if ws <= 1e-12:
-                    continue
-                r_inc = cap_left / ws
+            for r in live:
+                r_inc = r._fill_left / r._fill_wsum
                 if r_inc < inc:
                     inc = r_inc
                     bottleneck = r
             if inc < 0:
                 inc = 0.0
             rate += inc
-            for r in residual:
-                residual[r] -= inc * wsum[r]
             frozen: set[Flow] = set()
             # Demand-capped flows: ascending sweep from the pointer.
-            while demand_ptr < len(by_demand):
+            while demand_ptr < n:
                 f = by_demand[demand_ptr]
                 if f not in unfrozen:
                     demand_ptr += 1
@@ -524,23 +554,23 @@ class FlowNetwork:
                     break
                 frozen.add(f)
                 demand_ptr += 1
-            # Flows on saturated resources.
-            if bottleneck is not None and residual[bottleneck] <= \
-                    _EPS_RATE * max(1.0, bottleneck.capacity / 1e9):
-                frozen |= members[bottleneck]
-            for r, cap_left in residual.items():
-                if r is not bottleneck and wsum[r] > 1e-12 and \
-                        cap_left <= _EPS_RATE * max(1.0, r.capacity / 1e9):
-                    frozen |= members[r]
+            # Residual update and flows on saturated resources, one pass.
+            for r in live:
+                left = r._fill_left - inc * r._fill_wsum
+                r._fill_left = left
+                if left <= r.sat_threshold:
+                    frozen.update([f for f in r.flows if f in unfrozen])
             if not frozen:
                 if bottleneck is None:
                     break  # all demand-capped; loop would have frozen them
-                frozen = set(members[bottleneck])
+                frozen = {f for f in bottleneck.flows if f in unfrozen}
             # wsum decrements are float subtractions: fixed order again.
             for f in sorted(frozen, key=_flow_id):
                 f.rate = rate
-                freeze(f)
+                for r, w, _s in f.terms:
+                    r._fill_wsum -= w
             unfrozen -= frozen
+            live = [r for r in live if r._fill_wsum > 1e-12]
         for f in unfrozen:  # pragma: no cover - loop always drains
             f.rate = rate
 
@@ -554,8 +584,9 @@ class FlowNetwork:
           accumulation (absent flows contribute an exact ``+0.0``);
         - elementwise multiply/subtract/divide are the same correctly-rounded
           IEEE operations the scalar path applies per resource;
-        - ``np.argmin`` returns the *first* minimum, matching the scalar
-          running strict-``<`` scan over first-seen resource order;
+        - ``np.argmin`` returns the *first* minimum, like the scalar
+          running strict-``<`` scan (either only names one of several
+          exactly-tied bottlenecks; all of them freeze by threshold);
         - freezes subtract whole weight rows in flow-id order, mirroring the
           scalar per-resource ``wsum`` decrements (``x - 0.0 == x``).
 
@@ -650,13 +681,14 @@ class FlowNetwork:
 
     def _schedule_wake(self) -> None:
         self._wake_generation += 1
-        if not self._active:
+        flows = self._flows
+        if not flows:
             return
-        if self.vectorized and len(self._active) >= self.vector_min_flows:
-            count = len(self._active)
-            rems = np.fromiter((f.remaining for f in self._active), np.float64,
+        if self.vectorized and len(flows) >= self.vector_min_flows:
+            count = len(flows)
+            rems = np.fromiter((f.remaining for f in flows), np.float64,
                                count=count)
-            rates = np.fromiter((f.rate for f in self._active), np.float64,
+            rates = np.fromiter((f.rate for f in flows), np.float64,
                                 count=count)
             pos = rates > 0.0
             # Elementwise division + min: same value the scalar generator
@@ -665,7 +697,7 @@ class FlowNetwork:
                        if pos.any() else None)
         else:
             horizon = min(
-                (f.remaining / f.rate for f in self._active if f.rate > 0),
+                (f.remaining / f.rate for f in flows if f.rate > 0),
                 default=None,
             )
         if horizon is None:

@@ -21,6 +21,7 @@ the cache journal lease).
 from __future__ import annotations
 
 import asyncio
+import signal
 import threading
 import time
 from typing import IO, Optional
@@ -44,6 +45,7 @@ class SweepServer:
         self.runner = PoolRunner(jobs=jobs, retry_limit=retry_limit)
         self._inflight: dict[str, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._clients: set[asyncio.Task] = set()   # connection handlers
         self._log_fh = log
         self.address: Optional[str] = None
         self.requests = 0
@@ -72,9 +74,18 @@ class SweepServer:
         return self.address
 
     async def stop(self) -> None:
-        """Transport, then runner, then store — in that order."""
+        """Transport, then runner, then store — in that order.
+
+        The transport step closes the listener and then every client
+        connection, idle or mid-request; each handler takes its
+        cancellation as a normal close.
+        """
         if self._server is not None:
             self._server.close()
+            clients = list(self._clients)
+            for task in clients:
+                task.cancel()
+            await asyncio.gather(*clients, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         loop = asyncio.get_running_loop()
@@ -136,6 +147,9 @@ class SweepServer:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None  # stream handlers always run as tasks
+        self._clients.add(task)
         try:
             while True:
                 line = await reader.readline()
@@ -161,7 +175,10 @@ class SweepServer:
                         "message": str(err)})
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-stream; nothing to unwind
+        except asyncio.CancelledError:
+            pass  # server stopping: close this connection like any other
         finally:
+            self._clients.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -325,25 +342,28 @@ def serve(address: str, *, jobs: int = 0, cache_path: Optional[str] = None,
     """Run a sweep server in the foreground until interrupted.
 
     The ``python -m repro.bench --serve`` / ``python -m repro.service``
-    entry point.  SIGTERM and Ctrl-C both unwind through the normal stop
-    path (transport → runner/pool → store), so the cache journal ends on
-    a complete record.
+    entry point.  SIGTERM and Ctrl-C set a loop-level stop event rather
+    than raising into whatever task happens to be running, so the server
+    unwinds through the normal stop path (transport → runner/pool →
+    store) and the cache journal ends on a complete record.
     """
-    from repro.bench.executor import sigterm_interrupts
 
     async def main() -> None:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, stop.set)
         server = SweepServer(jobs=jobs, cache_path=cache_path,
                              retry_limit=retry_limit, log=log)
         bound = await server.start(address)
         print(f"sweep server listening on {bound}", flush=True)
         try:
-            await asyncio.Event().wait()   # until KeyboardInterrupt
+            await stop.wait()
         finally:
             await server.stop()
 
     try:
-        with sigterm_interrupts():
-            asyncio.run(main())
+        asyncio.run(main())
     except KeyboardInterrupt:
-        pass
+        pass  # Ctrl-C before the loop installed its handlers
     return 0
