@@ -1,42 +1,27 @@
-"""Simulator-core micro-benchmarks and the wall-clock perf-regression gate.
+"""Simulator-core micro-benchmarks (diagnostics) and the speedup floor.
 
-Four measurements of the engine itself (not of any paper experiment):
+Three measurements of the engine itself (not of any paper experiment);
+the reproduction ledger under ``benchmarks/ledger/`` is what times real
+cells end to end:
 
-- **events/sec** — raw event-loop dispatch rate on timeout chains, measured
-  best-of-5 with the vectorized cohort path (timer lane + fused dispatch +
-  tuned kernels) enabled; the scalar rate is recorded alongside.  This is
-  the number the CI gate always enforces, because every sweep bottoms out
-  in ``Simulator.run``;
-- **timer-lane events/sec** — the deadline-armed drain (the
-  ``Job.run(deadline=)`` watchdog pattern): wide same-deadline timer waves
-  over resident armed watchdog deadlines, dispatched through
-  ``run_horizon`` slices, against the scalar caller loop it replaced (one
-  heap transaction + one ``step()`` call per event);
+- **events/sec** — raw event-loop dispatch rate on timeout chains, best
+  of 5 runs;
 - **cells/sec** — full (stack, size) sweep cells (machine build + IMB
-  loop) on the dancer Broadcast grid, with the vector-vs-scalar wall time
-  recorded **per cell** so a vector-path loss on any cell is visible in
-  the payload (it warns — never gates — on hosts with < 2 cpus, where
-  noise swamps the comparison);
+  loop) on the dancer Broadcast grid;
 - **sweep wall-clock** — ``run_sweep`` serial vs the warm pool at
   ``parallel=N``.  The payload records the host cpu count and a
   ``measurable`` flag: on a 1-cpu host parallel can never beat serial, so
   the speedup gate (``--check-speedup``) explicitly skips there instead of
   recording a misleading number as a target.
 
-Micro measurements (events/sec and the timer lane) pause the garbage
-collector around the timed region — the ``timeit`` idiom — and the payload
-says so (``"gc_paused_micro": true``); both the cohort and the scalar legs
-get identical treatment.  Tuned kernels are activated from the receipts
-artifact (``BENCH_kernels.json``, written by ``python -m
-repro.bench.kernels --tune``) when present and fresh; the payload records
-what was active so a number can always be traced to its configuration.
+The events/sec and cells/sec measurements pause the garbage collector
+around the timed region — the ``timeit`` idiom — and the payload says so
+(``"gc_paused_micro": true``).
 
 Standalone (what CI runs)::
 
     python benchmarks/bench_simcore.py --smoke --jobs 2 \
         --output BENCH_simcore.json
-    python benchmarks/bench_simcore.py --smoke \
-        --baseline BENCH_simcore.json --max-regression 0.25
     python benchmarks/bench_simcore.py --smoke --jobs 2 \
         --check-speedup --min-speedup 1.5   # skips on < 2 cpus
 
@@ -56,8 +41,6 @@ import time
 
 import pytest
 
-from repro import vector
-from repro.bench import kernels as kernels_mod
 from repro.bench.harness import run_sweep
 from repro.bench.imb import ImbSettings, imb_time
 from repro.mpi import stacks as stk
@@ -82,17 +65,6 @@ SWEEP_SETTINGS = ImbSettings(max_iterations=2, warmups=1)
 
 #: event-loop workload: chains of zero-ish timeouts.
 EVENT_CHAINS = {"full": (10, 20_000), "smoke": (10, 5_000)}
-#: timer-lane workload: (width, rounds, resident) — wide same-deadline
-#: waves drained through ``run_horizon`` slices (the watchdog re-arm
-#: pattern), over ``resident`` armed long-deadline timers that never fire
-#: inside the measured window.  The residents mirror what a big sweep
-#: actually queues (one watchdog deadline per in-flight job — see
-#: ``mpi/runtime.py``): the scalar heap pays tuple-compare sift work for
-#: them on every transaction, the timer lane parks them in one bucket.
-#: smoke == full here: the wave is cheap (< 1 s) and the smaller shape is
-#: too noisy for the recorded cohort-vs-scalar ratio to be meaningful.
-TIMER_WAVES = {"full": (500, 80, 4000), "smoke": (500, 80, 4000)}
-TIMER_SLICES = 8
 #: wall-clock runs per micro measurement (best-of, not mean: the
 #: interesting number is the rate without scheduler noise)
 EVENT_REPEATS = 5
@@ -100,12 +72,7 @@ EVENT_REPEATS = 5
 
 # ------------------------------------------------------------ measurements
 def _timed(fn) -> float:
-    """Wall-time ``fn()`` with the GC paused (the ``timeit`` idiom).
-
-    Both the cohort and the scalar legs of every micro measurement go
-    through here, so the comparison and the recorded absolute rates share
-    one methodology (and the payload declares it).
-    """
+    """Wall-time ``fn()`` with the GC paused (the ``timeit`` idiom)."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -117,9 +84,8 @@ def _timed(fn) -> float:
             gc.enable()
 
 
-def _event_loop(n_chains: int, chain_len: int,
-                cohort: bool | None = None) -> Simulator:
-    sim = Simulator(cohort=cohort)
+def _event_loop(n_chains: int, chain_len: int) -> Simulator:
+    sim = Simulator()
 
     def chain(n):
         timeout = sim.timeout
@@ -132,15 +98,14 @@ def _event_loop(n_chains: int, chain_len: int,
     return sim
 
 
-def bench_events(grid: str, cohort: bool = True,
-                 repeats: int = EVENT_REPEATS) -> dict:
+def bench_events(grid: str, repeats: int = EVENT_REPEATS) -> dict:
     """Event-loop dispatch rate (events/sec), best of ``repeats`` runs."""
     n_chains, chain_len = EVENT_CHAINS[grid]
-    _event_loop(n_chains, chain_len, cohort=cohort)  # warm-up
+    _event_loop(n_chains, chain_len)  # warm-up
     best = None
     events = 0
     for _ in range(repeats):
-        sim = Simulator(cohort=cohort)
+        sim = Simulator()
 
         def chain(n):
             timeout = sim.timeout
@@ -153,77 +118,8 @@ def bench_events(grid: str, cohort: bool = True,
         events = sim.events_processed
         if best is None or dt < best:
             best = dt
-    return {"events": events, "seconds": best, "cohort": cohort,
+    return {"events": events, "seconds": best,
             "events_per_sec": events / best}
-
-
-def _timer_wave_sim(cohort: bool, width: int, rounds: int,
-                    delay: float = 1e-6, resident: int = 0) -> Simulator:
-    sim = Simulator(cohort=cohort)
-    for _ in range(resident):
-        sim.timeout(1e6)  # armed watchdog deadlines, far past the window
-
-    def proc():
-        timeout = sim.timeout
-        for _ in range(rounds):
-            yield timeout(delay)
-
-    for _ in range(width):
-        sim.process(proc())
-    return sim
-
-
-def bench_timer_lane(grid: str, repeats: int = 2 * EVENT_REPEATS) -> dict:
-    """Deadline-armed drain rate: batched ``run_horizon`` vs the scalar
-    caller loop it replaced (``while heap[0] <= horizon: step()``).
-
-    Both legs drain exactly the wave window (a fixed slice count covering
-    ``rounds * delay``); the resident watchdog timers stay queued, as they
-    would in a live sweep.
-    """
-    width, rounds, resident = TIMER_WAVES[grid]
-    delay = 1e-6
-    total = rounds * delay
-
-    def cohort_leg() -> float:
-        sim = _timer_wave_sim(True, width, rounds, delay, resident)
-
-        def run():
-            h = 0.0
-            for _ in range(TIMER_SLICES):
-                h += total / TIMER_SLICES
-                sim.run_horizon(h)
-
-        dt = _timed(run)
-        return sim.events_processed / dt
-
-    def scalar_leg() -> float:
-        sim = _timer_wave_sim(False, width, rounds, delay, resident)
-
-        def run():
-            h = 0.0
-            heap = sim._heap
-            for _ in range(TIMER_SLICES):
-                h += total / TIMER_SLICES
-                while heap and heap[0][0] <= h:
-                    sim.step()
-
-        dt = _timed(run)
-        return sim.events_processed / dt
-
-    cohort_leg(), scalar_leg()  # warm-up
-    # Alternate the legs so clock-frequency drift on a busy host hits both
-    # distributions equally instead of biasing whichever block runs last.
-    best_cohort = best_scalar = 0.0
-    for _ in range(repeats):
-        best_cohort = max(best_cohort, cohort_leg())
-        best_scalar = max(best_scalar, scalar_leg())
-    return {
-        "width": width, "rounds": rounds, "resident": resident,
-        "events_per_sec": best_cohort,
-        "events_per_sec_scalar": best_scalar,
-        "ratio": best_cohort / best_scalar,
-    }
 
 
 def _cell_grid(grid: str) -> list[tuple[object, int]]:
@@ -232,49 +128,14 @@ def _cell_grid(grid: str) -> list[tuple[object, int]]:
 
 
 def bench_cells(grid: str) -> dict:
-    """Sweep-cell throughput, with vector-vs-scalar wall time per cell.
-
-    ``cells_per_sec`` (the headline number) is measured with the vector
-    path on — the configuration every gated number uses.  Each cell is
-    then re-run with the vector path off so the payload records where the
-    vectorized engine wins or loses, cell by cell.
-    """
+    """Sweep-cell throughput (cells/sec) over the cell grid."""
     cells = _cell_grid(grid)
-    per_cell = []
-    total_vec = 0.0
+    total = 0.0
     for stack, size in cells:
-        with vector.forced(True):
-            t_vec = _timed(lambda: imb_time(
-                "dancer", stack, 4, "bcast", size, CELL_SETTINGS))
-        with vector.forced(False):
-            t_sca = _timed(lambda: imb_time(
-                "dancer", stack, 4, "bcast", size, CELL_SETTINGS))
-        total_vec += t_vec
-        per_cell.append({
-            "stack": stack.name, "size": size,
-            "vector_seconds": round(t_vec, 6),
-            "scalar_seconds": round(t_sca, 6),
-            "vector_speedup": round(t_sca / t_vec, 3) if t_vec > 0 else 0.0,
-        })
-    return {"cells": len(cells), "seconds": total_vec,
-            "cells_per_sec": len(cells) / total_vec,
-            "per_cell": per_cell}
-
-
-def vector_cell_warnings(cell_report: dict, cpus: int) -> list[str]:
-    """Cells where the vector path lost.  On a < 2-cpu host this is a
-    warning, never a gate: single-core turbo/steal noise routinely flips
-    sub-second cells, and the bitwise-equivalence contract means a loss is
-    a scheduling artifact, not a correctness signal."""
-    warnings = []
-    for cell in cell_report["per_cell"]:
-        if cell["vector_speedup"] < 1.0:
-            warnings.append(
-                f"vector path lost on cell {cell['stack']}|{cell['size']}: "
-                f"{cell['vector_seconds']:.3f}s vs "
-                f"{cell['scalar_seconds']:.3f}s scalar "
-                f"(speedup {cell['vector_speedup']:.2f}x, host cpus={cpus})")
-    return warnings
+        total += _timed(lambda: imb_time(
+            "dancer", stack, 4, "bcast", size, CELL_SETTINGS))
+    return {"cells": len(cells), "seconds": total,
+            "cells_per_sec": len(cells) / total}
 
 
 def _sweep(grid: str, parallel: int):
@@ -296,34 +157,15 @@ def bench_sweep(grid: str, jobs: int) -> dict:
 
 def collect(grid: str, jobs: int) -> dict:
     """All measurements as the BENCH_simcore.json payload."""
-    cpus = os.cpu_count() or 1
-    with vector.forced(True):
-        kernels = kernels_mod.activate(machine="dancer")
-        try:
-            events = bench_events(grid, cohort=True)
-            timer_lane = bench_timer_lane(grid)
-            cell_report = bench_cells(grid)
-            sweep = bench_sweep(grid, jobs)
-        finally:
-            kernels_mod.deactivate()
-    scalar = bench_events(grid, cohort=False)
     return {
-        "version": 3,
+        "version": 4,
         "grid": grid,
-        "host": {"cpus": cpus, "platform": sys.platform},
+        "host": {"cpus": os.cpu_count() or 1, "platform": sys.platform},
         "gc_paused_micro": True,
-        "kernels": kernels,
-        "events_per_sec": round(events["events_per_sec"], 1),
-        "events_per_sec_scalar": round(scalar["events_per_sec"], 1),
-        "timer_lane": {k: (round(v, 1) if isinstance(v, float) else v)
-                       for k, v in timer_lane.items()
-                       if k != "ratio"} | {
-                           "ratio": round(timer_lane["ratio"], 2)},
-        "cells_per_sec": round(cell_report["cells_per_sec"], 3),
-        "cells": cell_report["per_cell"],
-        "vector_cell_warnings": vector_cell_warnings(cell_report, cpus),
+        "events_per_sec": round(bench_events(grid)["events_per_sec"], 1),
+        "cells_per_sec": round(bench_cells(grid)["cells_per_sec"], 3),
         "sweep": {k: (round(v, 3) if isinstance(v, float) else v)
-                  for k, v in sweep.items()},
+                  for k, v in bench_sweep(grid, jobs).items()},
     }
 
 
@@ -332,26 +174,6 @@ def test_event_loop_events_per_sec(benchmark):
     n_chains, chain_len = EVENT_CHAINS["smoke"]
     sim = benchmark(_event_loop, n_chains, chain_len)
     assert sim.events_processed >= n_chains * chain_len
-
-
-def test_event_loop_cohort_events_per_sec(benchmark):
-    n_chains, chain_len = EVENT_CHAINS["smoke"]
-    with vector.forced(True):
-        sim = benchmark(_event_loop, n_chains, chain_len, True)
-    assert sim.cohort and sim.cohorts_dispatched > 0
-    assert sim.events_processed >= n_chains * chain_len
-
-
-def test_timer_lane_deadline_drain(benchmark):
-    with vector.forced(True):
-        res = benchmark.pedantic(bench_timer_lane, args=("smoke", 3),
-                                 rounds=1, iterations=1)
-    benchmark.extra_info["ratio_vs_scalar"] = round(res["ratio"], 2)
-    # The batched deadline drain must never lose to the per-event caller
-    # loop it replaced; the recorded payload tracks the full ratio.
-    assert res["ratio"] >= 1.0, (
-        f"cohort deadline drain slower than the scalar caller loop: "
-        f"{res['ratio']:.2f}x")
 
 
 def test_cell_throughput(benchmark):
@@ -375,20 +197,6 @@ def test_parallel_sweep_speedup(benchmark):
 
 
 # -------------------------------------------------------------- standalone
-def _check_regression(current: dict, baseline_path: str,
-                      max_regression: float) -> int:
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    base = baseline["events_per_sec"]
-    now = current["events_per_sec"]
-    floor = base * (1.0 - max_regression)
-    verdict = "OK" if now >= floor else "REGRESSION"
-    print(f"[gate] events/sec: current {now:,.0f} vs baseline {base:,.0f} "
-          f"(floor {floor:,.0f}, max regression {max_regression:.0%}) "
-          f"-> {verdict}")
-    return 0 if now >= floor else 1
-
-
 def _check_speedup(current: dict, min_speedup: float) -> int:
     """Speedup gate; explicitly skips on hosts where it is unmeasurable."""
     cpus = current["host"]["cpus"]
@@ -407,8 +215,8 @@ def _check_speedup(current: dict, min_speedup: float) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Simulator-core micro-benchmarks (events/sec, timer "
-                    "lane, cells/sec, parallel sweep speedup).")
+        description="Simulator-core micro-benchmarks (events/sec, "
+                    "cells/sec, parallel sweep speedup).")
     parser.add_argument("--smoke", action="store_true",
                         help="small grid for CI (default: full grid)")
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
@@ -416,13 +224,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(0 = one per CPU)")
     parser.add_argument("--output", metavar="PATH",
                         help="write the measurements as JSON")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="compare events/sec against this JSON and fail "
-                             "on regression")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        metavar="FRAC",
-                        help="allowed events/sec drop vs baseline "
-                             "(default 0.25)")
     parser.add_argument("--check-speedup", action="store_true",
                         help="fail unless the parallel sweep beats serial by "
                              "--min-speedup (skips with an explicit reason "
@@ -437,8 +238,6 @@ def main(argv: list[str] | None = None) -> int:
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     result = collect(grid, jobs)
     print(json.dumps(result, indent=2, sort_keys=True))
-    for warning in result["vector_cell_warnings"]:
-        print(f"[warn] {warning}")
 
     if args.output:
         with open(args.output, "w") as fh:
@@ -446,12 +245,9 @@ def main(argv: list[str] | None = None) -> int:
             fh.write("\n")
         print(f"[json] wrote {args.output}")
 
-    rc = 0
-    if args.baseline:
-        rc = _check_regression(result, args.baseline, args.max_regression)
     if args.check_speedup:
-        rc = rc or _check_speedup(result, args.min_speedup)
-    return rc
+        return _check_speedup(result, args.min_speedup)
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,9 +25,9 @@ complementing the trace-time direction scan in
 One repository-level rule rides along with the AST pass:
 
 - ``tracked-bytecode`` — no ``.pyc`` file or ``__pycache__`` entry may be
-  tracked by git.  Generated kernels (:mod:`repro.bench.kernels`) make
-  compiled artifacts easy to produce by accident, and a committed ``.pyc``
-  silently pins one host's bytecode over everyone else's source.
+  tracked by git.  Every run of the package writes them next to the
+  sources, and a committed ``.pyc`` silently pins one host's bytecode over
+  everyone else's source.
 
 :func:`lint_paths` walks files (default: everything under ``src/repro``);
 :func:`lint_source` checks one source string (used by tests);

@@ -159,12 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         "--verbose", action="store_true",
         help="print simulator counters (events, resumes, peak heap) and "
              "events/sec per experiment")
-    parser.add_argument(
-        "--vector", action="store_true",
-        help="enable the vectorized fast paths (event-cohort dispatch + "
-             "numpy flow updates; equivalent to REPRO_VECTOR=1).  Output "
-             "is byte-identical to the scalar paths — only wall-clock "
-             "changes")
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
@@ -199,15 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment is None:
         parser.error("an experiment name is required "
                      "(or use --verify-journal PATH)")
-    if args.vector:
-        # Both the in-process flag and the environment: forked warm-pool
-        # workers inherit either, spawned ones only the environment.
-        import os
-
-        from repro import vector
-
-        os.environ["REPRO_VECTOR"] = "1"
-        vector.set_enabled(True)
     if args.profile is not None:
         import os
 

@@ -24,16 +24,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import Callable, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro import vector as _vector
 from repro.errors import SimulationError
 from repro.simtime.core import Event, Simulator
 
-__all__ = ["Resource", "Flow", "FlowNetwork",
-           "install_waterfill_kernel", "installed_waterfill_kernel"]
+__all__ = ["Resource", "Flow", "FlowNetwork"]
 
 #: Bytes below which a flow is considered finished.  A quarter byte is far
 #: below physical relevance but large enough that the completion horizon
@@ -56,41 +52,6 @@ def _insert_by_id(flows: list["Flow"], flow: "Flow") -> None:
         flows.append(flow)
     else:
         insort(flows, flow, key=_flow_id)
-
-
-#: Optional replacement for :meth:`FlowNetwork._assign_rates_vec`, installed
-#: by the measured-kernel machinery (:mod:`repro.bench.kernels`).  A kernel
-#: is ``fn(net, ordered)`` operating on the network's resident vector state;
-#: ``None`` (the default, and the fallback when receipts are stale) keeps
-#: the generic resident-numpy waterfilling.
-_WATERFILL_KERNEL: Optional[Callable[["FlowNetwork", list], None]] = None
-
-
-def install_waterfill_kernel(
-        fn: Optional[Callable[["FlowNetwork", list], None]]) -> None:
-    """Install a generated waterfill kernel (``None`` restores generic)."""
-    global _WATERFILL_KERNEL
-    _WATERFILL_KERNEL = fn
-
-
-def installed_waterfill_kernel() -> Optional[Callable]:
-    return _WATERFILL_KERNEL
-
-
-def _row_sum(rows: "np.ndarray") -> "np.ndarray":
-    """Column sums by strictly sequential row accumulation.
-
-    ``np.add.reduce(rows, axis=0)`` is row-sequential only while the
-    reduction axis is strided; with a single column the data is contiguous
-    and numpy switches to pairwise summation, which rounds differently from
-    the scalar path's one-by-one adds.  The explicit loop pins the
-    association order for every shape, which the bitwise scalar/vector
-    equivalence contract requires.
-    """
-    out = np.zeros(rows.shape[1])
-    for row in rows:
-        out += row
-    return out
 
 
 class Resource:
@@ -198,32 +159,18 @@ class Flow:
 
 
 class FlowNetwork:
-    """Tracks active flows, assigns fair rates, fires completion events.
+    """Tracks active flows, assigns fair rates, fires completion events."""
 
-    ``vectorized`` selects the numpy waterfilling path (``None`` = the
-    process-wide ``REPRO_VECTOR`` default).  The scalar path remains the
-    oracle: both produce **bitwise-identical** rates, byte accounts, and
-    wake horizons — every elementwise numpy operation used (multiply,
-    subtract, divide, first-occurrence argmin, row-order ``add.reduce``)
-    is IEEE-equal to its Python-scalar counterpart, and every float
-    accumulation walks flows in creation-id order in both paths.  The
-    differential battery in tests/hardware/test_vector_flows.py locks
-    this; ``vector_min_flows`` gates the numpy path to rebalances large
-    enough to amortize array construction (safe to flip mid-run precisely
-    because the paths are indistinguishable).
-    """
+    #: always 0 (numpy waterfiller removed); benchmarks/ledger still reads it
+    vector_assignments = 0
 
-    def __init__(self, sim: Simulator, vectorized: Optional[bool] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.vectorized = _vector.enabled() if vectorized is None else vectorized
-        #: smallest active-flow count routed to the numpy waterfilling
-        #: (below it the scalar path is faster; tests set 0 to force numpy)
-        self.vector_min_flows = 8
-        # --- resident scalar state (see _admit/_retire/_assign_rates) ------
-        # Active flows in creation-id order, shared by both paths; every
-        # float accumulation and completion walks it.  ``_busy`` holds the
-        # resources with members (insertion order), ``_dirty`` those whose
-        # membership changed since their cached sums were last recomputed.
+        # --- resident state (see _admit/_retire/_assign_rates) -------------
+        # Active flows in creation-id order; every float accumulation and
+        # completion walks it.  ``_busy`` holds the resources with members
+        # (insertion order), ``_dirty`` those whose membership changed since
+        # their cached sums were last recomputed.
         self._flows: list[Flow] = []
         self._busy: dict[Resource, None] = {}
         self._dirty: dict[Resource, None] = {}
@@ -233,35 +180,8 @@ class FlowNetwork:
         #: lifetime statistics
         self.completed_flows = 0
         self.completed_bytes = 0.0
-        #: rate assignments executed by each implementation (diagnostics;
-        #: the differential tests assert the intended path actually ran)
+        #: rate assignments executed (diagnostics)
         self.scalar_assignments = 0
-        self.vector_assignments = 0
-        # --- resident vector state (see _vec_add/_vec_remove) ---------------
-        # Slot-row incidence matrices held between rebalances: each active
-        # flow owns a row (recycled through a freelist), each resource ever
-        # seen owns a column in global first-seen order.  A rebalance
-        # gathers rows in flow-id order instead of rebuilding the matrices
-        # from dicts per call.  Column order only influences np.argmin
-        # tie-breaks, which only pick the *label* of the bottleneck; every
-        # saturated resource freezes through the sat-threshold mask
-        # regardless, so results stay bitwise-identical to the scalar path
-        # (the differential battery in tests/hardware/test_vector_flows.py
-        # holds this to account).  Rows are gathered in ``_flows`` order.
-        self._vslot: dict[Flow, int] = {}  # flow -> row slot
-        self._vfree: list[int] = []        # recycled row slots
-        self._vnext_row = 0                # next never-used row slot
-        self._vres_index: dict[Resource, int] = {}  # resource -> column
-        self._vres_list: list[Resource] = []
-        self._vW = np.zeros((0, 0))        # slot-row weight matrix
-        self._vS = np.zeros((0, 0))        # slot-row stream matrix
-        self._vcaps = np.zeros(0)          # per-column capacity
-        self._vknee = np.zeros(0)          # per-column contention knee
-        self._valpha = np.zeros(0)         # per-column contention alpha
-        self._vthresh = np.zeros(0)        # per-column saturation threshold
-        #: resident state mirrors _flows (goes stale when flows change
-        #: while ``vectorized`` is off; the next vector rebalance rebuilds)
-        self._vclean = True
 
     # -- public API ---------------------------------------------------------
     def transfer(
@@ -304,10 +224,6 @@ class FlowNetwork:
         for res, _w, _s in flow.terms:
             _insert_by_id(res.flows, flow)
             dirty[res] = None
-        if self.vectorized:
-            self._vec_add(flow)
-        else:
-            self._vclean = False
         # Defer the (expensive) reassignment to a zero-delay event so a burst
         # of same-instant arrivals — e.g. every leaf of a broadcast tree
         # starting its segment copy together — pays for one rebalance.
@@ -326,97 +242,7 @@ class FlowNetwork:
         for res, _w, _s in flow.terms:
             res.flows.remove(flow)
             dirty[res] = None
-        if self.vectorized:
-            self._vec_remove(flow)
-        else:
-            self._vclean = False
         self.completed_flows += 1
-
-    # -- resident vector state ----------------------------------------------
-    def _vcol_add(self, res: Resource) -> None:
-        """Give ``res`` a column (global first-seen order, grown amortized)."""
-        j = len(self._vres_list)
-        if j >= self._vcaps.shape[0]:
-            new_cols = max(16, 2 * j)
-            rows = self._vW.shape[0]
-            for attr in ("_vW", "_vS"):
-                grown = np.zeros((rows, new_cols))
-                old = getattr(self, attr)
-                grown[:, :old.shape[1]] = old
-                setattr(self, attr, grown)
-            for attr in ("_vcaps", "_vknee", "_valpha", "_vthresh"):
-                grown = np.zeros(new_cols)
-                old = getattr(self, attr)
-                grown[:old.shape[0]] = old
-                setattr(self, attr, grown)
-        self._vres_index[res] = j
-        self._vres_list.append(res)
-        self._vcaps[j] = res.capacity
-        self._vknee[j] = res.contention_knee
-        self._valpha[j] = res.contention_alpha
-        self._vthresh[j] = res.sat_threshold
-
-    def _vrow_alloc(self) -> int:
-        """Hand out a zeroed row slot (freelist first, then amortized growth)."""
-        free = self._vfree
-        if free:
-            return free.pop()
-        slot = self._vnext_row
-        self._vnext_row += 1
-        if slot >= self._vW.shape[0]:
-            new_rows = max(16, 2 * (slot + 1))
-            cols = self._vW.shape[1]
-            for attr in ("_vW", "_vS"):
-                grown = np.zeros((new_rows, cols))
-                old = getattr(self, attr)
-                grown[:old.shape[0]] = old
-                setattr(self, attr, grown)
-        return slot
-
-    def _vec_add(self, flow: Flow) -> None:
-        """Incremental resident-state update for one admitted flow."""
-        if not self._vclean:
-            return  # stale; the next vector rebalance rebuilds in bulk
-        index = self._vres_index
-        for r in flow.weights:
-            if r not in index:
-                self._vcol_add(r)
-        slot = self._vrow_alloc()
-        self._vslot[flow] = slot
-        row_w = self._vW[slot]
-        row_s = self._vS[slot]
-        for r, w, s in flow.terms:
-            j = index[r]
-            row_w[j] = w
-            row_s[j] = s
-
-    def _vec_remove(self, flow: Flow) -> None:
-        """Incremental resident-state update for one retired flow."""
-        if not self._vclean:
-            return
-        slot = self._vslot.pop(flow, None)
-        if slot is None:
-            # Admitted while the resident state was stale or vectorized was
-            # off: the mirror is inconsistent — rebuild at next rebalance.
-            self._vclean = False
-            return
-        self._vW[slot].fill(0.0)
-        self._vS[slot].fill(0.0)
-        self._vfree.append(slot)
-
-    def _vec_sync(self) -> list[Flow]:
-        """Return the id-ordered active flows, rebuilding resident state
-        if flow arrivals/departures happened while it was stale."""
-        if not self._vclean:
-            self._vslot.clear()
-            self._vfree.clear()
-            self._vnext_row = 0
-            self._vW[:, :] = 0.0
-            self._vS[:, :] = 0.0
-            self._vclean = True
-            for flow in self._flows:
-                self._vec_add(flow)
-        return self._flows
 
     def _advance(self) -> None:
         """Account bytes transferred since the last state change."""
@@ -425,25 +251,7 @@ class FlowNetwork:
         self._last_update = now
         if dt <= 0:
             return
-        ordered = self._flows
-        if self.vectorized and len(ordered) >= self.vector_min_flows:
-            # Per-flow byte accounts are independent elementwise IEEE ops,
-            # bitwise-equal to the scalar loop (zero-rate flows subtract an
-            # exact 0.0).  Only ``completed_bytes`` — a tolerance-compared
-            # lifetime stat — is summed as one array total instead of
-            # flow by flow.
-            count = len(ordered)
-            moved = np.fromiter((f.remaining for f in ordered), np.float64,
-                                count=count)
-            rates = np.fromiter((f.rate for f in ordered), np.float64,
-                                count=count)
-            rates *= dt  # now the per-flow bytes moved
-            moved -= rates  # now the new per-flow remaining bytes
-            for flow, rem in zip(ordered, moved.tolist()):
-                flow.remaining = rem
-            self.completed_bytes += float(np.add.reduce(rates))
-            return
-        for flow in ordered:
+        for flow in self._flows:
             if flow.rate > 0:
                 moved = flow.rate * dt
                 flow.remaining -= moved
@@ -456,17 +264,8 @@ class FlowNetwork:
         finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
         for flow in finished:
             self._retire(flow)
-        if self.vectorized and len(self._flows) >= self.vector_min_flows:
-            self.vector_assignments += 1
-            ordered = self._vec_sync()
-            kernel = _WATERFILL_KERNEL
-            if kernel is not None:
-                kernel(self, ordered)
-            else:
-                self._assign_rates_vec(ordered)
-        else:
-            self.scalar_assignments += 1
-            self._assign_rates()
+        self.scalar_assignments += 1
+        self._assign_rates()
         for flow in finished:
             flow.remaining = 0.0
             flow.event.succeed(None)
@@ -574,132 +373,15 @@ class FlowNetwork:
         for f in unfrozen:  # pragma: no cover - loop always drains
             f.rate = rate
 
-    def _assign_rates_vec(self, ordered: list[Flow]) -> None:
-        """Numpy waterfilling, bitwise-identical to :meth:`_assign_rates`.
-
-        Equality holds operation by operation, not approximately:
-
-        - column sums accumulate rows sequentially (:func:`_row_sum`), so
-          the weight/stream totals reproduce the scalar loop's id-ordered
-          accumulation (absent flows contribute an exact ``+0.0``);
-        - elementwise multiply/subtract/divide are the same correctly-rounded
-          IEEE operations the scalar path applies per resource;
-        - ``np.argmin`` returns the *first* minimum, like the scalar
-          running strict-``<`` scan (either only names one of several
-          exactly-tied bottlenecks; all of them freeze by threshold);
-        - freezes subtract whole weight rows in flow-id order, mirroring the
-          scalar per-resource ``wsum`` decrements (``x - 0.0 == x``).
-
-        Every scalar crossing back into simulator state (``f.rate``,
-        comparisons against python floats) is converted with ``float()`` so
-        no ``np.float64`` leaks into the event queue or the JSONL journal.
-        """
-        n = len(ordered)
-        if n == 0:
-            return
-        # Gather the resident slot rows in flow-id order.  Columns beyond
-        # the current flows' resources carry all-zero weight sums and are
-        # masked off by ``live`` below; their ``+0.0`` contributions to the
-        # row sums are bitwise-neutral (weights are positive, so no partial
-        # sum is ever ``-0.0``).
-        n_res = len(self._vres_list)
-        slots = self._vslot
-        idx = [slots[f] for f in ordered]
-        weight_rows = self._vW[idx][:, :n_res]
-        stream_rows = self._vS[idx][:, :n_res]
-        for f in ordered:
-            f.rate = 0.0
-        wsum = _row_sum(weight_rows)
-        # Vectorized effective capacity, elementwise IEEE-equal to the
-        # scalar Resource.effective_capacity: the stream counts are exact
-        # small integers in float (np.round is the same half-to-even as
-        # round()), the denominator is exactly 1.0 whenever alpha is zero
-        # or the count is at/below the knee, and x / 1.0 == x bitwise.
-        excess = np.maximum(np.round(_row_sum(stream_rows)) - self._vknee[:n_res],
-                            0.0)
-        residual = self._vcaps[:n_res] / (1.0 + self._valpha[:n_res] * excess)
-        sat_thresh = self._vthresh[:n_res]
-
-        demands = [f.demand for f in ordered]
-        # Stable argsort ties break by index (= creation id), matching the
-        # scalar stable sort over the id-ordered list.
-        by_demand = np.argsort(np.asarray(demands), kind="stable").tolist()
-        unfrozen = np.ones(n, dtype=bool)
-        n_unfrozen = n
-        demand_ptr = 0
-        rate = 0.0
-        inf = float("inf")
-        while n_unfrozen:
-            while demand_ptr < n and not unfrozen[by_demand[demand_ptr]]:
-                demand_ptr += 1
-            inc = demands[by_demand[demand_ptr]] - rate if demand_ptr < n else inf
-            bottleneck = -1
-            live = wsum > 1e-12
-            if live.any():
-                r_inc = (np.where(live, residual, inf)
-                         / np.where(live, wsum, 1.0))
-                j = int(np.argmin(r_inc))
-                j_inc = float(r_inc[j])
-                if j_inc < inc:
-                    inc = j_inc
-                    bottleneck = j
-            if inc < 0:
-                inc = 0.0
-            rate += inc
-            residual -= inc * wsum
-            frozen = np.zeros(n, dtype=bool)
-            # Demand-capped flows: ascending sweep from the pointer.
-            while demand_ptr < n:
-                i = by_demand[demand_ptr]
-                if not unfrozen[i]:
-                    demand_ptr += 1
-                    continue
-                if demands[i] - rate > _EPS_RATE:
-                    break
-                frozen[i] = True
-                demand_ptr += 1
-            # Unfrozen members of saturated resources.  ``live`` predates
-            # the residual update but ``wsum`` has not changed since.
-            sat = live & (residual <= sat_thresh)
-            if sat.any():
-                frozen |= unfrozen & (weight_rows[:, sat] != 0.0).any(axis=1)
-            if not frozen.any():
-                if bottleneck < 0:
-                    break  # all demand-capped; loop would have frozen them
-                frozen = unfrozen & (weight_rows[:, bottleneck] != 0.0)
-            # Freeze in id order; whole-row wsum decrements reproduce the
-            # scalar per-resource subtractions bit for bit.
-            frozen_idx = np.nonzero(frozen)[0].tolist()
-            for i in frozen_idx:
-                ordered[i].rate = rate
-                wsum -= weight_rows[i]
-            unfrozen &= ~frozen
-            n_unfrozen -= len(frozen_idx)
-        if n_unfrozen:  # pragma: no cover - loop always drains
-            for i in np.nonzero(unfrozen)[0].tolist():
-                ordered[i].rate = rate
-
     def _schedule_wake(self) -> None:
         self._wake_generation += 1
         flows = self._flows
         if not flows:
             return
-        if self.vectorized and len(flows) >= self.vector_min_flows:
-            count = len(flows)
-            rems = np.fromiter((f.remaining for f in flows), np.float64,
-                               count=count)
-            rates = np.fromiter((f.rate for f in flows), np.float64,
-                                count=count)
-            pos = rates > 0.0
-            # Elementwise division + min: same value the scalar generator
-            # finds (min is order-independent over exact quotients).
-            horizon = (float(np.min(rems[pos] / rates[pos]))
-                       if pos.any() else None)
-        else:
-            horizon = min(
-                (f.remaining / f.rate for f in flows if f.rate > 0),
-                default=None,
-            )
+        horizon = min(
+            (f.remaining / f.rate for f in flows if f.rate > 0),
+            default=None,
+        )
         if horizon is None:
             raise SimulationError(
                 "flow network stalled: active flows but no positive rates"

@@ -148,15 +148,12 @@ class MemorySystem:
     """Owns the flow network, resources, routing, and cache bookkeeping."""
 
     def __init__(self, sim: Simulator, spec: MachineSpec,
-                 tracer: Optional[Tracer] = None,
-                 vectorized: Optional[bool] = None):
+                 tracer: Optional[Tracer] = None):
         self.sim = sim
         self.spec = spec
         self.tracer = tracer or Tracer()
         self.caches = CacheSystem(spec)
-        # ``vectorized=None`` defers to the process-wide REPRO_VECTOR flag
-        # (see repro.vector); the scalar flow path stays the oracle.
-        self.network = FlowNetwork(sim, vectorized=vectorized)
+        self.network = FlowNetwork(sim)
 
         # Core copy engines are *time-sliced*: a flow running at rate r with
         # achievable single-stream rate d occupies fraction r/d of its core,

@@ -52,15 +52,11 @@ class Machine:
     """A fully assembled simulated machine (hardware + kernel services)."""
 
     def __init__(self, spec: MachineSpec, costs: Optional[KernelCosts] = None,
-                 trace: bool = False, vector: Optional[bool] = None):
+                 trace: bool = False):
         self.spec = spec
-        # ``vector=None`` defers to the process-wide REPRO_VECTOR flag for
-        # both fast paths (event-cohort dispatch + numpy flow updates); an
-        # explicit bool pins this machine for differential tests.
-        self.sim = Simulator(cohort=vector)
+        self.sim = Simulator()
         self.tracer = Tracer(clock=lambda: self.sim.now, enabled=trace)
-        self.mem = MemorySystem(self.sim, spec, tracer=self.tracer,
-                                vectorized=vector)
+        self.mem = MemorySystem(self.sim, spec, tracer=self.tracer)
         self.costs = costs or KernelCosts()
         self.shm = ShmWorld(self.sim, spec, self.mem, costs=self.costs)
         self.knem = KnemDriver(self.sim, self.mem, costs=self.costs,
@@ -78,12 +74,12 @@ class Machine:
 
     @classmethod
     def build(cls, spec_or_name: Union[str, MachineSpec],
-              costs: Optional[KernelCosts] = None, trace: bool = False,
-              vector: Optional[bool] = None) -> "Machine":
+              costs: Optional[KernelCosts] = None,
+              trace: bool = False) -> "Machine":
         """Build from a paper machine name (``"ig"``) or a custom spec."""
         spec = (get_machine(spec_or_name)
                 if isinstance(spec_or_name, str) else spec_or_name)
-        return cls(spec, costs=costs, trace=trace, vector=vector)
+        return cls(spec, costs=costs, trace=trace)
 
     @property
     def now(self) -> float:
@@ -531,8 +527,6 @@ class Job:
             if deadline is not None:
                 # Watchdog: process events up to the deadline without
                 # jumping ``now`` forward when the run completes early.
-                # run_horizon drains whole cohorts in vector mode, so a
-                # deadline-armed run keeps the batched dispatch rate.
                 sim.run_horizon(start + deadline)
                 stuck = [h for h in handles if h.is_alive]
                 if stuck:

@@ -12,35 +12,19 @@ Semantics follow the classic discrete-event pattern:
   event; an unwaited failure surfaces when the event is processed, so errors
   cannot be silently dropped.
 
-Two queue structures back the ``(time, sequence)`` order:
-
-- the **heap** (``_heap``) holds generic triggered events as
-  ``(time, seq, event)`` tuples — the classic binary heap, and the only
-  structure the scalar oracle path uses;
-- the **timer lane** (``_buckets``/``_btimes``, cohort mode only) holds
-  :class:`Timeout` events bucketed by exact deadline.  A bucket is a plain
-  list in creation order — which *is* sequence order, because ``_seq`` is
-  handed out at creation — and ``_btimes`` is a small heap of the distinct
-  deadlines.  Expiring a bucket is one dict pop instead of one heap
-  transaction per timer, which is where timeout chains and
-  ``Job.run(deadline=)`` watchdog re-arms used to spend their time.
-
-Dispatch order is identical in both modes: the cohort loop merges the lane
-and the heap by ``(time, seq)``, so the scalar heap remains the bitwise
-oracle for the vectorized fast path (see tests/simtime/test_cohort.py).
+One binary heap (``_heap``) of ``(time, seq, event)`` tuples holds every
+triggered event.
 """
 
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Any, Callable, Generator, Optional
 
-from repro import vector as _vector
 from repro.errors import DeadlockError, SimulationError
 
-__all__ = ["PENDING", "Event", "Timeout", "Simulator",
-           "install_dispatch_kernel", "installed_dispatch_kernel"]
+__all__ = ["PENDING", "Event", "Timeout", "Simulator"]
 
 
 class _Pending:
@@ -57,29 +41,8 @@ PENDING = _Pending()
 #: ``_pwait`` slot), so allocating a list per timeout is pure overhead.
 #: Every append site must treat this sentinel as copy-on-write: replace it
 #: with a fresh one-element list instead of mutating it (see
-#: :meth:`Event.add_callback` and ``Process._resume``/``_rearm``).  It also
-#: doubles as the "fresh, never-registered timeout" marker the fused cohort
-#: dispatch uses to take its re-arm fast path.
+#: :meth:`Event.add_callback` and ``Process._resume``).
 _NO_CBS: list = []
-
-#: Optional replacement for :meth:`Simulator._run_cohort`, installed by the
-#: measured-kernel machinery (:mod:`repro.bench.kernels`).  A kernel is a
-#: ``fn(sim, horizon)`` drain loop generated from the same template as the
-#: built-in and proven dispatch-equivalent before installation; ``None``
-#: (the default, and the fallback whenever receipts are stale) keeps the
-#: hand-written loop below.
-_DISPATCH_KERNEL: Optional[Callable[["Simulator", Optional[float]], None]] = None
-
-
-def install_dispatch_kernel(
-        fn: Optional[Callable[["Simulator", Optional[float]], None]]) -> None:
-    """Install a generated cohort drain loop (``None`` restores built-in)."""
-    global _DISPATCH_KERNEL
-    _DISPATCH_KERNEL = fn
-
-
-def installed_dispatch_kernel() -> Optional[Callable]:
-    return _DISPATCH_KERNEL
 
 
 class Event:
@@ -90,8 +53,7 @@ class Event:
     the common case of exactly one waiter that is a simulated process: the
     dispatch loops fire it *before* the callbacks list (a process re-arms
     into ``_pwait`` only while the list is empty, so this is registration
-    order), and the cohort fast path resumes it without a callback
-    trampoline.
+    order).
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_defused",
@@ -197,14 +159,9 @@ class Timeout(Event):
     simulated delay is one Timeout), so it inlines ``Event.__init__`` and
     ``Simulator._enqueue`` and skips the old eager ``timeout(<delay>)``
     name formatting — diagnostics fall back to the class name instead.
-
-    In cohort mode the timeout goes to the timer lane: appended to the
-    bucket for its exact deadline (one dict probe, no heap transaction, no
-    per-timer tuple).  ``_lseq`` keeps the global sequence number so mixed
-    cohorts merge bitwise-identically with heap events at the same instant.
     """
 
-    __slots__ = ("delay", "_lseq")
+    __slots__ = ("delay",)
 
     #: Class-level constant shadowing the inherited ``_ok`` slot: a Timeout
     #: is born triggered-successful and can never be failed (``succeed``/
@@ -233,77 +190,12 @@ class Timeout(Event):
         self.name = name
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        if sim.cohort:
-            self._lseq = seq
-            t = sim.now + delay
-            buckets = sim._buckets
-            bucket = buckets.get(t)
-            if bucket is None:
-                buckets[t] = [self]
-                heappush(sim._btimes, t)
-            else:
-                bucket.append(self)
-            # peak_heap bookkeeping is deferred: queue size only grows
-            # between dispatch points, so the dispatch loops record the
-            # high-water mark right before each removal (bitwise-identical
-            # to per-push accounting — see _run_cohort/step).
-        else:
-            # Inlined _enqueue (a fresh Timeout can never be double-scheduled).
-            heap = sim._heap
-            heappush(heap, (sim.now + delay, seq, self))
-            n = len(heap)
-            b = sim._buckets
-            if b:
-                n += sum(map(len, b.values()))
-            if n > sim.peak_heap:
-                sim.peak_heap = n
-
-
-def _timeout_factory(sim: "Simulator") -> Callable[..., Timeout]:
-    """Build a specialized ``sim.timeout`` for a cohort-mode simulator.
-
-    ``sim.timeout(1e-9)`` is the single hottest call of a sweep (one per
-    simulated delay), and the generic spelling pays for the bound-method
-    call, the type-call protocol (``type.__call__`` → ``__new__`` →
-    ``__init__``), and five attribute loads on ``sim`` per event.  This
-    closure allocates via ``object.__new__`` and captures the lane
-    structures (which are created once and mutated in place, never
-    rebound), leaving only the loads that genuinely vary (``now``,
-    ``_seq``).  Behavior is identical to ``Timeout(sim, delay, value)``
-    in cohort mode.  ``_ok`` is a Timeout class constant and the lane
-    count is derived from the buckets on demand, so neither needs a
-    per-creation store here.
-    """
-    buckets = sim._buckets
-    btimes = sim._btimes
-    bget = buckets.get
-    push = heappush
-    new = object.__new__
-    cls = Timeout
-
-    def timeout(delay: float, value: Any = None) -> Timeout:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        self = new(cls)
-        self.sim = sim
-        self.callbacks = _NO_CBS
-        self._value = value
-        self._pwait = None
-        # ``name`` stays unset (slot store costs ~9% of creation here);
-        # diagnostics read it with getattr and fall back to the class name.
-        self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        self._lseq = seq
-        t = sim.now + delay
-        bucket = bget(t)
-        if bucket is None:
-            buckets[t] = [self]
-            push(btimes, t)
-        else:
-            bucket.append(self)
-        return self
-
-    return timeout
+        # Inlined _enqueue (a fresh Timeout can never be double-scheduled).
+        heap = sim._heap
+        heappush(heap, (sim.now + delay, seq, self))
+        n = len(heap)
+        if n > sim.peak_heap:
+            sim.peak_heap = n
 
 
 class Simulator:
@@ -320,48 +212,20 @@ class Simulator:
     [1.5]
     """
 
-    def __init__(self, cohort: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        # Timer lane (cohort mode): deadline -> [Timeout, ...] in creation
-        # (= sequence) order, plus a heap of the distinct deadlines.  The
-        # lane population is derived on demand (_lane_size) so timer
-        # creation — the hottest allocation in a sweep — carries no
-        # counter read-modify-write; queue/peak accounting still matches
-        # the scalar all-on-one-heap path exactly.
-        self._buckets: dict[float, list[Timeout]] = {}
-        self._btimes: list[float] = []
         # Live processes (for deadlock diagnostics); maintained by Process.
         self._live_processes: dict[int, Any] = {}
         #: events popped and dispatched so far (maintained by step()/run())
         self.events_processed = 0
-        #: generator resumptions so far (maintained by Process._resume and
-        #: the fused cohort dispatch)
+        #: generator resumptions so far (maintained by Process._resume)
         self.process_resumes = 0
-        #: high-water mark of the event queue (heap + timer lane)
+        #: high-water mark of the event queue
         self.peak_heap = 0
-        #: cohort dispatch: drain every event ready at the same instant as
-        #: one batch (the vectorized fast path; ``None`` = REPRO_VECTOR
-        #: default).  Dispatch order, counters, and failure surfacing are
-        #: identical to the scalar loop — see TestCohortDispatch.
-        self.cohort = _vector.enabled() if cohort is None else cohort
-        #: cohort batches dispatched and the largest batch seen (cohort
-        #: mode only; the scalar loop leaves them at zero)
-        self.cohorts_dispatched = 0
-        self.max_cohort = 0
-        if self.cohort:
-            # Shadow the generic timeout() method with the inlined fast
-            # factory (identical semantics; see _timeout_factory).
-            self.timeout = _timeout_factory(self)
 
     # -- queue plumbing ---------------------------------------------------
-    def _lane_size(self) -> int:
-        """Number of timeouts parked in the timer lane (derived, not
-        counted — see ``_buckets``)."""
-        b = self._buckets
-        return sum(map(len, b.values())) if b else 0
-
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             raise SimulationError(f"event {event!r} already scheduled")
@@ -369,7 +233,7 @@ class Simulator:
         self._seq += 1
         heap = self._heap
         heapq.heappush(heap, (self.now + delay, self._seq, event))
-        n = len(heap) + self._lane_size()
+        n = len(heap)
         if n > self.peak_heap:
             self.peak_heap = n
 
@@ -384,13 +248,7 @@ class Simulator:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a timeout event that fires after ``delay`` seconds.
-
-        In cohort mode this method is shadowed by a per-instance fast
-        factory (see ``_timeout_factory``) that inlines the constructor;
-        both spell the same lane insertion, so ``sim.timeout(d)`` and
-        ``Timeout(sim, d)`` stay interchangeable.
-        """
+        """Create a timeout event that fires after ``delay`` seconds."""
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: str = "",
@@ -408,48 +266,17 @@ class Simulator:
         return Process(self, gen, name=name, daemon=daemon, owner=owner)
 
     def _next_time(self) -> Optional[float]:
-        """Earliest queued event time across the heap and the timer lane."""
+        """Earliest queued event time (``None`` when the queue is empty)."""
         heap = self._heap
-        btimes = self._btimes
-        if heap:
-            t = heap[0][0]
-            if btimes and btimes[0] < t:
-                return btimes[0]
-            return t
-        if btimes:
-            return btimes[0]
-        return None
+        return heap[0][0] if heap else None
 
     # -- main loop ---------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event (advancing ``now``)."""
         heap = self._heap
-        btimes = self._btimes
-        # Record the queue high-water mark before removing anything: lane
-        # insertions defer their peak bookkeeping to the dispatch points
-        # (sizes only grow between removals, so this sees the same maximum
-        # per-push accounting would).
-        q = len(heap)
-        b = self._buckets
-        if b:
-            q += sum(map(len, b.values()))
-        if q > self.peak_heap:
-            self.peak_heap = q
-        event: Optional[Event] = None
-        if btimes:
-            lt = btimes[0]
-            bucket = self._buckets[lt]
-            if not heap or lt < heap[0][0] or \
-                    (lt == heap[0][0] and bucket[0]._lseq < heap[0][1]):
-                t = lt
-                event = bucket.pop(0)
-                if not bucket:
-                    del self._buckets[lt]
-                    heappop(btimes)
-        if event is None:
-            if not heap:
-                raise SimulationError("step() on an empty event queue")
-            t, _seq, event = heapq.heappop(heap)
+        if not heap:
+            raise SimulationError("step() on an empty event queue")
+        t, _seq, event = heapq.heappop(heap)
         if t < self.now - 1e-18:
             raise SimulationError("event queue went backwards in time")
         self.now = t
@@ -487,40 +314,26 @@ class Simulator:
         # (enqueue can only schedule at >= now, so the heap cannot go
         # backwards) or attribute re-lookups.  This is where whole sweeps
         # spend their time; see benchmarks/bench_simcore.py.
-        if self.cohort:
-            kernel = _DISPATCH_KERNEL
-            if kernel is not None:
-                kernel(self, None)
-            else:
-                self._run_cohort(None)
-        elif self._btimes:
-            # A scalar-mode drain of a queue that somehow holds lane timers
-            # (the cohort flag was flipped mid-run): fall back to the
-            # lane-aware step loop rather than stranding them.
-            while self._heap or self._btimes:
-                self.step()
-        else:
-            heap = self._heap
-            pop = heapq.heappop
-            dispatched = 0
-            try:
-                while heap:
-                    t, _seq, event = pop(heap)
-                    dispatched += 1
-                    self.now = t
-                    callbacks, event.callbacks = event.callbacks, None
-                    pw = event._pwait
-                    if pw is not None:
-                        event._pwait = None
-                        pw._resume(event)
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not event._defused:
-                        # A failure nobody waited on: surface it, don't
-                        # lose it.
-                        raise event._value
-            finally:
-                self.events_processed += dispatched
+        heap = self._heap
+        pop = heapq.heappop
+        dispatched = 0
+        try:
+            while heap:
+                t, _seq, event = pop(heap)
+                dispatched += 1
+                self.now = t
+                callbacks, event.callbacks = event.callbacks, None
+                pw = event._pwait
+                if pw is not None:
+                    event._pwait = None
+                    pw._resume(event)
+                for cb in callbacks:
+                    cb(event)
+                if event._ok is False and not event._defused:
+                    # A failure nobody waited on: surface it, don't lose it.
+                    raise event._value
+        finally:
+            self.events_processed += dispatched
         blocked_procs = sorted(
             (p for p in self._live_processes.values() if not p.daemon),
             key=lambda p: p.name,
@@ -552,281 +365,20 @@ class Simulator:
 
         This is the watchdog primitive behind ``Job.run(deadline=)``: unlike
         :meth:`run` with ``until`` it leaves ``now`` at the last dispatched
-        instant (so an early-completing run does not jump to the deadline),
-        and unlike the old one-``step()``-per-event caller loop it drains
-        whole cohorts in vector mode, so deadline-armed runs keep the full
-        batched dispatch rate.
+        instant, so an early-completing run does not jump to the deadline.
         """
         if horizon < self.now:
             raise SimulationError(
                 f"run_horizon({horizon}) is in the past (now={self.now})")
-        if self.cohort:
-            kernel = _DISPATCH_KERNEL
-            if kernel is not None:
-                kernel(self, horizon)
-            else:
-                self._run_cohort(horizon)
-            return
         while True:
             t = self._next_time()
             if t is None or t > horizon:
                 return
             self.step()
 
-    def _run_cohort(self, horizon: Optional[float] = None) -> None:
-        """Drain loop dispatching same-instant event cohorts (vector mode).
-
-        All events already queued at the next timestamp — the timer-lane
-        bucket for that deadline plus any heap events at the same instant,
-        merged by sequence number — are taken as one batch before any
-        callback runs.  A callback that enqueues a new same-instant event
-        gives it a higher sequence number, so it lands in a *later* cohort
-        at the same time — exactly where the scalar heap loop would
-        dispatch it.  Dispatch order is therefore identical to the scalar
-        path; only the queue traffic is batched.
-
-        Cohort members that were re-armed by exactly one process resume
-        through the fused fast path: the generator is entered directly from
-        this loop (no callback trampoline), and a yielded Timeout re-arms
-        straight into the timer lane.  With ``horizon`` set, dispatch stops
-        before the first cohort whose time exceeds it (``now`` is left at
-        the last dispatched instant — see :meth:`run_horizon`).
-        """
-        heap = self._heap
-        btimes = self._btimes
-        buckets = self._buckets
-        pending = PENDING
-        timeout_cls = Timeout
-        dispatched = 0
-        resumes = 0
-        cohorts = 0
-        widest = self.max_cohort
-        inf = float("inf")
-        try:
-            while True:
-                # Queue high-water mark, taken before the cohort is bulk-
-                # removed: lane insertions defer peak bookkeeping to the
-                # removal points (sizes only grow in between), which records
-                # the same maximum the scalar per-push accounting does.
-                q = len(heap)
-                if buckets:
-                    q += sum(map(len, buckets.values()))
-                if q > self.peak_heap:
-                    self.peak_heap = q
-                ht = heap[0][0] if heap else inf
-                lt = btimes[0] if btimes else inf
-                if lt < ht:
-                    # ---- pure timer-lane cohort: the bucket IS the batch.
-                    if horizon is not None and lt > horizon:
-                        return
-                    t = lt
-                    heappop(btimes)
-                    bucket = buckets.pop(t)
-                    n = len(bucket)
-                    self.now = t
-                    cohorts += 1
-                    if n > widest:
-                        widest = n
-                    try:
-                        # Lane events are always successful Timeouts, so the
-                        # failure-surfacing checks of the generic path are
-                        # statically dead here and elided.  The dead event's
-                        # _pwait is deliberately left set: it is never read
-                        # again (the processed marker is callbacks=None).
-                        for ev in bucket:
-                            callbacks = ev.callbacks
-                            ev.callbacks = None
-                            pw = ev._pwait
-                            if pw is not None:
-                                if pw._value is pending and \
-                                        pw._waiting_on is ev:
-                                    pw._waiting_on = None
-                                    resumes += 1
-                                    try:
-                                        target = pw._send(ev._value)
-                                    except StopIteration as stop:
-                                        pw._finish_ok(stop.value)
-                                        target = None
-                                    except BaseException as exc:
-                                        pw._finish_fail(exc)
-                                        target = None
-                                    if target is not None:
-                                        # Fast re-arm only for a fresh
-                                        # timeout (still wearing the
-                                        # _NO_CBS sentinel, no competing
-                                        # waiter); anything else takes the
-                                        # validating slow path.
-                                        if target.__class__ is timeout_cls \
-                                                and target.sim is self \
-                                                and target.callbacks is _NO_CBS \
-                                                and target._pwait is None:
-                                            pw._waiting_on = target
-                                            target._pwait = pw
-                                        else:
-                                            pw._rearm(target)
-                            if callbacks:
-                                for cb in callbacks:
-                                    cb(ev)
-                    except BaseException:
-                        # Undispatched bucket members (their callbacks were
-                        # not yet swapped out) go back to the lane so a
-                        # surfaced failure leaves the same queue state the
-                        # scalar loop would.  A callback may have re-created
-                        # the bucket with *newer* same-instant timers — the
-                        # survivors' sequence numbers are older, so they go
-                        # in front.
-                        survivors = [e for e in bucket if e.callbacks is not None]
-                        if survivors:
-                            existing = buckets.get(t)
-                            if existing is None:
-                                buckets[t] = survivors
-                                heappush(btimes, t)
-                            else:
-                                buckets[t] = survivors + existing
-                        dispatched += n - len(survivors)
-                        raise
-                    dispatched += n
-                    continue
-                if ht is inf:
-                    return
-                if horizon is not None and ht > horizon:
-                    return
-                t = ht
-                self.now = t
-                if lt > t:
-                    # ---- pure heap cohort (no lane bucket at this time).
-                    entry = heappop(heap)
-                    if not heap or heap[0][0] != t:
-                        # Singleton cohort: dispatch inline, no batch list.
-                        event = entry[2]
-                        dispatched += 1
-                        cohorts += 1
-                        if not widest:
-                            widest = 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        pw = event._pwait
-                        if pw is not None:
-                            event._pwait = None
-                            pw._resume(event)
-                        for cb in callbacks:
-                            cb(event)
-                        if event._ok is False and not event._defused:
-                            raise event._value
-                        continue
-                    cohort = [entry]
-                    append = cohort.append
-                    while heap and heap[0][0] == t:
-                        append(heappop(heap))
-                else:
-                    # ---- mixed cohort: merge the bucket and the heap
-                    # events at this instant by sequence number.
-                    heappop(btimes)
-                    bucket = buckets.pop(t)
-                    hev = []
-                    while heap and heap[0][0] == t:
-                        hev.append(heappop(heap))
-                    cohort = []
-                    append = cohort.append
-                    bi, hi = 0, 0
-                    nb, nh = len(bucket), len(hev)
-                    while bi < nb and hi < nh:
-                        tev = bucket[bi]
-                        if tev._lseq < hev[hi][1]:
-                            append((t, tev._lseq, tev))
-                            bi += 1
-                        else:
-                            append(hev[hi])
-                            hi += 1
-                    while bi < nb:
-                        tev = bucket[bi]
-                        append((t, tev._lseq, tev))
-                        bi += 1
-                    while hi < nh:
-                        append(hev[hi])
-                        hi += 1
-                n = len(cohort)
-                cohorts += 1
-                if n > widest:
-                    widest = n
-                try:
-                    for entry in cohort:
-                        event = entry[2]
-                        callbacks, event.callbacks = event.callbacks, None
-                        pw = event._pwait
-                        if pw is not None:
-                            event._pwait = None
-                            if pw._value is pending and \
-                                    pw._waiting_on is event:
-                                pw._waiting_on = None
-                                resumes += 1
-                                if event._ok is not False:
-                                    try:
-                                        target = pw._send(event._value)
-                                    except StopIteration as stop:
-                                        pw._finish_ok(stop.value)
-                                        target = None
-                                    except BaseException as exc:
-                                        pw._finish_fail(exc)
-                                        target = None
-                                else:
-                                    event._defused = True
-                                    try:
-                                        target = pw._throw(event._value)
-                                    except StopIteration as stop:
-                                        pw._finish_ok(stop.value)
-                                        target = None
-                                    except BaseException as exc:
-                                        pw._finish_fail(exc)
-                                        target = None
-                                if target is not None:
-                                    if target.__class__ is timeout_cls \
-                                            and target.sim is self \
-                                            and target.callbacks is _NO_CBS \
-                                            and target._pwait is None:
-                                        pw._waiting_on = target
-                                        target._pwait = pw
-                                    else:
-                                        pw._rearm(target)
-                            elif event._ok is False:
-                                event._defused = True
-                        for cb in callbacks:
-                            cb(event)
-                        if event._ok is False and not event._defused:
-                            # A failure nobody waited on: surface it,
-                            # don't lose it.
-                            raise event._value
-                except BaseException:
-                    # Undispatched cohort members (their callbacks were
-                    # not yet swapped out) go back on the heap so a
-                    # surfaced failure leaves the same queue state the
-                    # scalar loop would (sequence numbers preserved; lane
-                    # timers requeue as heap entries, which dispatch in the
-                    # identical (time, seq) order).
-                    survivors = [e for e in cohort if e[2].callbacks is not None]
-                    for entry in survivors:
-                        heappush(heap, entry)
-                    dispatched += n - len(survivors)
-                    raise
-                dispatched += n
-        finally:
-            # Trailing lane insertions since the last loop-top check (e.g.
-            # pushed just before an exception surfaced, with survivors
-            # already requeued) still reach the high-water mark here.
-            q = len(heap)
-            if buckets:
-                q += sum(map(len, buckets.values()))
-            if q > self.peak_heap:
-                self.peak_heap = q
-            self.events_processed += dispatched
-            self.process_resumes += resumes
-            self.cohorts_dispatched += cohorts
-            if cohorts and not widest:
-                widest = 1  # only singleton cohorts ran
-            self.max_cohort = widest
-
     @property
     def queue_size(self) -> int:
-        return len(self._heap) + self._lane_size()
+        return len(self._heap)
 
     @property
     def stats(self) -> dict[str, int]:

@@ -137,40 +137,6 @@ class Process(Event):
         else:
             target.add_callback(self._resume_cb)
 
-    def _rearm(self, target: Any) -> None:
-        """Validate and wait on the event a generator just yielded.
-
-        The slow tail of :meth:`_resume`, split out so the fused cohort
-        dispatch (Simulator._run_cohort) can enter generators directly and
-        only pay for validation when the yielded target is not a
-        same-simulator Timeout.
-        """
-        if not isinstance(target, Event):
-            self._finish_fail(
-                SimulationError(
-                    f"process {self.name} yielded {target!r}; "
-                    "processes must yield Event objects"
-                )
-            )
-            return
-        if target.sim is not self.sim:
-            self._finish_fail(
-                SimulationError(
-                    f"process {self.name} yielded an event from another simulator")
-            )
-            return
-        self._waiting_on = target
-        cbs = target.callbacks
-        if cbs is not None:
-            if cbs:
-                cbs.append(self._resume_cb)
-            elif target._pwait is None:
-                target._pwait = self
-            else:
-                target.callbacks = [self._resume_cb]
-        else:
-            target.add_callback(self._resume_cb)
-
     def _finish_ok(self, value: Any) -> None:
         self.sim._live_processes.pop(id(self), None)
         self.succeed(value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.static import KnemSanitizer, SingleCopySanitizer
@@ -9,8 +10,10 @@ from repro.errors import KnemInvalidCookie
 from repro.hardware.machines import dancer
 from repro.hardware.memory import MemorySystem
 from repro.kernel.knem import PROT_READ, PROT_WRITE, KnemDriver
+from repro.mpi import Job, stacks
 from repro.mpi.runtime import Machine
 from repro.simtime import Simulator
+from repro.units import KiB
 
 
 @pytest.fixture
@@ -154,6 +157,27 @@ class TestKnemSanitizer:
 
         _run(sim, body())
         assert "use-after-invalidate" in _categories(sanitizer.findings)
+
+
+class TestKnemCollBcast:
+    def test_clean_and_correct_on_paper_machines(self, paper_machine):
+        count = 96 * KiB  # above KNEM-Coll's delegation threshold
+        pattern = (np.arange(count) % 251).astype(np.uint8)
+
+        def program(proc):
+            buf = proc.alloc_array(count, "u1")
+            if proc.rank == 0:
+                buf.array[:] = pattern
+            yield from proc.comm.bcast(buf.sim, 0, count, root=0)
+            return bool(np.array_equal(buf.array, pattern))
+
+        machine = Machine.build(paper_machine)
+        machine.arm_sanitizer(SingleCopySanitizer())
+        result = Job(machine, nprocs=8, stack=stacks.KNEM_COLL).run(program)
+        assert machine.knem.stats_copies > 0
+        assert machine.sanitizer.clean, [
+            f.render() for f in machine.sanitizer.findings]
+        assert result.values == [True] * 8
 
 
 class TestFifoSanitizer:

@@ -98,7 +98,7 @@ def check_against_reference(net: FlowNetwork,
 def run_checked(resource_spec, transfers) -> int:
     """Run one scenario, checking every rebalance; returns the check count."""
     sim = Simulator()
-    net = FlowNetwork(sim, vectorized=False)
+    net = FlowNetwork(sim)
     resources = [Resource(f"r{i}", cap, contention_knee=knee,
                           contention_alpha=alpha)
                  for i, (cap, (knee, alpha)) in enumerate(resource_spec)]

@@ -190,6 +190,59 @@ class TestSimulator:
         sim.run()
         assert sim.queue_size == 0
 
+    def test_unwaited_failure_keeps_later_same_instant_events(self, sim):
+        fired = []
+        sim.schedule(0.0, lambda: fired.append("before"))
+        sim.event(name="boom").fail(RuntimeError("boom"))
+        sim.schedule(0.0, lambda: fired.append("after-1"))
+        sim.schedule(0.0, lambda: fired.append("after-2"))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert fired == ["before"]
+        sim.run()
+        assert fired == ["before", "after-1", "after-2"]
+
+    def test_raising_callback_keeps_later_same_instant_events(self, sim):
+        fired = []
+
+        def bad():
+            raise SimulationError("callback exploded")
+
+        sim.schedule(1.0, lambda: fired.append(0))
+        sim.schedule(1.0, bad)
+        sim.schedule(1.0, lambda: fired.append(2))
+        with pytest.raises(SimulationError, match="exploded"):
+            sim.run()
+        assert fired == [0]
+        sim.run()
+        assert fired == [0, 2]
+
+    def test_zero_delay_event_from_callback_runs_after_queued(self, sim):
+        order = []
+
+        def spawn():
+            order.append("spawn")
+            sim.schedule(0.0, lambda: order.append("child"))
+
+        sim.schedule(1.0, spawn)
+        sim.schedule(1.0, lambda: order.append("sibling"))
+        sim.run()
+        assert order == ["spawn", "sibling", "child"]
+
+    def test_run_horizon_stops_at_last_dispatched_event(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1.0))
+        sim.schedule(2.0, lambda: fired.append(2.0))
+        sim.schedule(3.0, lambda: fired.append(3.0))
+        sim.run_horizon(2.0)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+        sim.run_horizon(2.5)
+        assert sim.now == 2.0
+        assert sim.queue_size == 1
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run_horizon(1.5)
+
 
 class TestLateFailure:
     """Late registration on an already-processed *failed* event.
