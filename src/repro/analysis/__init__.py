@@ -1,31 +1,33 @@
-"""Trace-driven schedule analysis for the KNEM collective stacks.
+"""Happens-before analysis of the KNEM collective schedules.
 
-The analyzer consumes the :class:`~repro.simtime.trace.Tracer` event stream
-of a traced run and checks the properties the paper's design leans on:
+One model, built two ways, checked by one checker set.  The
+:class:`~repro.analysis.model.TraceModel` holds vector-clocked steps,
+byte-range accesses, KNEM region lifecycles, driver-rejected ioctls and
+wait-for facts.  It is built either from the
+:class:`~repro.simtime.trace.Tracer` record stream of a traced run
+(:func:`build_model`) or by symbolic extraction of a schedule
+(:mod:`repro.analysis.static`), and the registered checkers run over
+either:
 
-- ``race`` — vector-clock happens-before race detection over KNEM copies
-  and collective local copies (:mod:`repro.analysis.races`);
-- ``cookie`` — region lifecycle lint: use-after-deregister, double
-  destroy, out-of-band cookie visibility, overlapping registrations,
-  leaks (:mod:`repro.analysis.cookies`);
-- ``direction`` — direction-control verification against each algorithm's
-  declared strategy, plus a static AST scan of the collective sources
-  (:mod:`repro.analysis.direction`);
-- ``deadlock`` — wait-for-graph reconstruction and cycle naming when a run
-  dies with :class:`~repro.errors.DeadlockError`
-  (:mod:`repro.analysis.deadlock`).
+- ``race`` — byte-range races between HB-unordered steps;
+- ``cookie`` — region lifecycle: use after invalidate, double destroy,
+  out-of-bounds ioctls, out-of-band cookie visibility, overlapping
+  writable registrations, leaks;
+- ``direction`` — direction control against each algorithm's declared
+  :class:`~repro.coll.algorithms.DirectionSpec`;
+- ``board`` — collective-board reads not ordered after their post;
+- ``deadlock`` — the named wait-for cycle of a wedged run or schedule.
 
-A second, trace-independent layer lives in :mod:`repro.analysis.static`:
-the symbolic schedule model checker (``--verify``), the DPOR interleaving
-explorer, the KNEM-San runtime sanitizer, and the repro-specific AST lint
-pass (``--lint``).
+The checkers live in :mod:`repro.analysis.checkers` and
+:mod:`repro.analysis.deadlock`.  :mod:`repro.analysis.static` adds the DPOR
+interleaving explorer, the KNEM-San runtime sanitizer, and the
+repro-specific AST lint pass (``--lint``).
 
 Entry points: ``python -m repro.analysis`` (CLI), :func:`run_analysis` /
 :func:`repro.analysis.static.verify_schedule` (programmatic), and the
 ``analyze_schedule`` pytest marker (:mod:`repro.analysis.pytest_plugin`).
 """
 
-from repro.analysis.direction import DirectionSpec, static_scan
 from repro.analysis.findings import (
     ERROR,
     WARNING,
@@ -39,6 +41,7 @@ from repro.analysis.findings import (
 from repro.analysis.model import TraceModel, build_model
 from repro.analysis.runner import ALGOS, AlgoSpec, algo_names, run_analysis
 from repro.analysis.vectorclock import VectorClock
+from repro.coll.algorithms import DirectionSpec
 
 __all__ = [
     "ERROR",
@@ -53,7 +56,6 @@ __all__ = [
     "build_model",
     "VectorClock",
     "DirectionSpec",
-    "static_scan",
     "ALGOS",
     "AlgoSpec",
     "algo_names",

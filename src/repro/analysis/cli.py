@@ -7,13 +7,14 @@ Examples::
     python -m repro.analysis --verify --machine all --format json
     python -m repro.analysis --verify knem.bcast --nprocs 8 --size 256K
     python -m repro.analysis --lint
-    python -m repro.analysis --static
     python -m repro.analysis --list
 
-``--verify`` model-checks exported schedules symbolically (no simulator
-run): byte-range races, cookie lifecycle, board synchronization, plus a
-DPOR interleaving exploration with receipts.  ``--lint`` runs the
-repro-specific AST rules over ``src/repro``.
+``--algo``/``--all`` trace a run and ``--verify`` extracts schedules
+symbolically (no simulator run); both build the same happens-before model
+and run the same checkers over it, and ``--verify`` adds a DPOR
+interleaving exploration with receipts.  ``--lint`` runs the
+repro-specific AST rules over ``src/repro``, including the region/copy
+direction rule.
 
 Exit status: 0 when every analyzed schedule is clean, 2 when any checker
 reported an unsuppressed finding (or a run failed outright) and on usage
@@ -28,8 +29,7 @@ import argparse
 import json
 import sys
 
-from repro.analysis.direction import static_scan
-from repro.analysis.findings import Baseline, Finding, Report, checker_names
+from repro.analysis.findings import Baseline, Finding, checker_names
 from repro.analysis.runner import ALGOS, algo_names, run_analysis
 from repro.hardware.machines import MACHINES
 from repro.units import KiB
@@ -73,12 +73,6 @@ def _print_listing() -> None:
         print(f"  {spec.name:20s} {spec.description}{variants}")
 
 
-def _finding_dict(f: Finding, suppressed: bool) -> "dict[str, object]":
-    return {"id": f.fid, "checker": f.checker, "category": f.category,
-            "severity": f.severity, "rank": f.rank, "message": f.message,
-            "suppressed": suppressed}
-
-
 def _emit(payload: "dict[str, object]", findings: "list[Finding]",
           baseline: "Baseline | None", fmt: str,
           text_lines: "list[str]") -> int:
@@ -89,8 +83,8 @@ def _emit(payload: "dict[str, object]", findings: "list[Finding]",
         active, quiet = baseline.partition(findings)
     if fmt == "json":
         payload["findings"] = (
-            [_finding_dict(f, False) for f in active]
-            + [_finding_dict(f, True) for f in quiet])
+            [dict(f.to_dict(), suppressed=False) for f in active]
+            + [dict(f.to_dict(), suppressed=True) for f in quiet])
         payload["suppressed"] = len(quiet)
         payload["exit"] = 2 if active else 0
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -176,9 +170,6 @@ def main(argv: "list[str] | None" = None) -> int:
     what.add_argument("--lint", action="store_true",
                       help="run the repro-specific AST lint rules over "
                            "src/repro")
-    what.add_argument("--static", action="store_true",
-                      help="AST-scan collective sources for direction "
-                           "mismatches (no simulation)")
     what.add_argument("--list", action="store_true",
                       help="list registered algos, checkers and schedules")
     parser.add_argument("--machine", choices=sorted(MACHINES) + ["all"],
@@ -219,14 +210,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.lint:
         return _run_lint(args.format, baseline)
 
-    if args.static:
-        findings = static_scan()
-        report = Report(subject="static scan of src/repro/coll",
-                        findings=findings)
-        return _emit({"mode": "static",
-                      "subject": report.subject},
-                     findings, baseline, args.format, [report.render()])
-
     checkers = args.checkers.split(",") if args.checkers else None
     if checkers:
         unknown = sorted(set(checkers) - set(checker_names()))
@@ -238,7 +221,7 @@ def main(argv: "list[str] | None" = None) -> int:
     names = algo_names() if args.all else [args.algo]
     findings: "list[Finding]" = []
     lines: "list[str]" = []
-    reports = []
+    reports: "list[dict[str, object]]" = []
     errored = False
     for name in names:
         report = run_analysis(name, machine=args.machine,

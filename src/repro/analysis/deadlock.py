@@ -1,13 +1,12 @@
 """Deadlock diagnosis: name the wait-for cycle, not just the stuck ranks.
 
-When a run dies with :class:`~repro.errors.DeadlockError`, the simulator
-reports *which* processes are blocked; this checker reconstructs *why* from
-the trace: every ``mpi.send`` without its ``mpi.send_done`` is a sender
-still inside a send (a rendezvous waiting for its FIN), every
-``mpi.recv_post`` without a matching ``mpi.recv`` is an unmatched receive.
-Those outstanding operations become wait-for edges between ranks, and a
-cycle among the blocked ranks is the classic send/send (or mismatched-tag)
-deadlock, reported by name.
+When a run dies with :class:`~repro.errors.DeadlockError` (or a schedule's
+symbolic extraction wedges), the model names *which* ranks are blocked;
+this checker reconstructs *why* from the model's wait-for facts: every send
+the sender is still inside (a rendezvous waiting for its FIN) and every
+receive post that never matched.  Those outstanding operations become
+wait-for edges between ranks, and a cycle among the blocked ranks is the
+classic send/send (or mismatched-tag) deadlock, reported by name.
 """
 
 from __future__ import annotations
@@ -17,15 +16,16 @@ from typing import Iterator, Optional
 
 from repro.analysis.findings import ERROR, WARNING, Finding, register_checker
 from repro.analysis.model import TraceModel
+from repro.errors import DeadlockError
 
 __all__ = ["check_deadlock"]
 
 _RANK_NAME = re.compile(r"^rank(\d+)$")
 
 
-def _blocked_ranks(model: TraceModel) -> set[int]:
+def _blocked_ranks(deadlock: DeadlockError) -> set[int]:
     ranks = set()
-    for name in model.deadlock.blocked:
+    for name in deadlock.blocked:
         match = _RANK_NAME.match(name)
         if match:
             ranks.add(int(match.group(1)))
@@ -61,9 +61,10 @@ def _find_cycle(edges: dict[int, list[tuple[int, str]]]) -> Optional[list[int]]:
 
 @register_checker("deadlock")
 def check_deadlock(model: TraceModel) -> Iterator[Finding]:
-    if model.deadlock is None:
+    deadlock = model.deadlock
+    if deadlock is None:
         return
-    blocked = _blocked_ranks(model)
+    blocked = _blocked_ranks(deadlock)
 
     # Wait-for edges among the blocked ranks.  Edges pointing at a rank
     # that died (fail-stop crash) are annotated: the wait is explained by
@@ -109,11 +110,12 @@ def check_deadlock(model: TraceModel) -> Iterator[Finding]:
     # Per-rank explanation of what each blocked rank was stuck on, whether
     # or not a definite cycle exists (ANY_SOURCE receives have no single
     # target edge, mismatched tags may leave a dangling chain).
-    waiting = model.deadlock.waiting
-    for name in model.deadlock.blocked:
+    waiting = deadlock.waiting
+    for name in deadlock.blocked:
         match = _RANK_NAME.match(name)
         rank = int(match.group(1)) if match else None
-        reasons = [why for _peer, why in edges.get(rank, [])]
+        reasons = [why for _peer, why in edges.get(rank, [])] \
+            if rank is not None else []
         if rank in any_source:
             reasons.append("receive from ANY_SOURCE never matched")
         if not reasons:

@@ -1,9 +1,10 @@
 """Findings, reports, and the checker registry.
 
-Every checker consumes a :class:`~repro.analysis.model.TraceModel` and
-yields :class:`Finding` objects.  Checkers register themselves with
-:func:`register_checker`, so the runner, the CLI, and the pytest plugin all
-see the same set without hand-maintained lists.
+Every checker consumes a :class:`~repro.analysis.model.TraceModel` — from
+a traced run or an extracted schedule — and yields :class:`Finding`
+objects.  Checkers register themselves with :func:`register_checker`, so
+the runner, the static verifier, the CLI, and the pytest plugin all run the
+same set without hand-maintained lists.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.model import TraceModel
@@ -26,7 +27,6 @@ __all__ = [
     "finding_id",
     "register_checker",
     "checker_names",
-    "get_checker",
     "run_checkers",
 ]
 
@@ -39,8 +39,9 @@ class Finding:
     """One structured analyzer finding.
 
     ``checker`` names the pass that produced it (``race``, ``cookie``,
-    ``direction``, ``deadlock``); ``category`` is a stable machine-readable
-    slug within that pass (e.g. ``write-write-race``).
+    ``direction``, ``board``, ``deadlock``, or a tool such as ``lint``);
+    ``category`` is a stable machine-readable slug within that pass (e.g.
+    ``write-write-race``).
     """
 
     checker: str
@@ -54,6 +55,11 @@ class Finding:
     def fid(self) -> str:
         """Stable 12-hex identifier (see :func:`finding_id`)."""
         return finding_id(self)
+
+    def to_dict(self) -> "dict[str, object]":
+        return {"id": self.fid, "checker": self.checker,
+                "category": self.category, "severity": self.severity,
+                "rank": self.rank, "message": self.message}
 
     def render(self) -> str:
         where = f" [rank {self.rank}]" if self.rank is not None else ""
@@ -76,13 +82,6 @@ class Report:
     @property
     def clean(self) -> bool:
         return not self.findings
-
-    @property
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == ERROR]
-
-    def by_checker(self, name: str) -> list[Finding]:
-        return [f for f in self.findings if f.checker == name]
 
     def render(self) -> str:
         head = f"analysis: {self.subject}"
@@ -149,16 +148,18 @@ class Baseline:
         return active, quiet
 
 
-#: name -> checker callable(model) -> Iterable[Finding]
-_CHECKERS: dict[str, Callable[["TraceModel"], Iterable[Finding]]] = {}
+#: a registered checker: model -> findings
+Checker = Callable[["TraceModel"], Iterable[Finding]]
+
+#: name -> checker
+_CHECKERS: dict[str, Checker] = {}
 
 
-def register_checker(name: str):
-    """Decorator adding a trace checker to the registry."""
+def register_checker(name: str) -> Callable[[Checker], Checker]:
+    """Decorator adding a checker to the registry."""
 
-    def wrap(fn: Callable[["TraceModel"], Iterable[Finding]]):
+    def wrap(fn: Checker) -> Checker:
         _CHECKERS[name] = fn
-        fn.checker_name = name  # type: ignore[attr-defined]
         return fn
 
     return wrap
@@ -168,25 +169,12 @@ def checker_names() -> list[str]:
     return sorted(_CHECKERS)
 
 
-def get_checker(name: str) -> Callable[["TraceModel"], Iterable[Finding]]:
-    try:
-        return _CHECKERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown checker {name!r}; available: {checker_names()}"
-        ) from None
-
-
 def run_checkers(model: "TraceModel",
                  checkers: Iterable[str] | None = None) -> list[Finding]:
     """Run the named checkers (default: all registered) over one model."""
     names = list(checkers) if checkers is not None else checker_names()
-    findings: list[Finding] = []
-    for name in names:
-        findings.extend(get_checker(name)(model))
-    return findings
-
-
-def iter_findings(findings: Iterable[Finding]) -> Iterator[str]:  # pragma: no cover
-    for f in findings:
-        yield f.render()
+    unknown = sorted(set(names) - set(_CHECKERS))
+    if unknown:
+        raise KeyError(f"unknown checker(s) {unknown}; "
+                       f"available: {checker_names()}")
+    return [f for name in names for f in _CHECKERS[name](model)]

@@ -3,7 +3,9 @@
 Each registered *algo* pairs a stack (KNEM-Coll, Tuned-KNEM, MPICH2-KNEM)
 with a self-verifying program: buffers are filled with rank-dependent
 patterns, the collective runs on a traced machine, the payload is checked,
-and every registered checker is run over the resulting trace model.  A
+and every registered checker is run over the resulting trace model under
+the direction contract the component exports for that operation
+(:func:`repro.coll.algorithms.export_schedule`).  A
 :class:`~repro.analysis.findings.Report` comes back even when the run
 deadlocks or raises — that is exactly when the checkers are most useful.
 """
@@ -11,18 +13,16 @@ deadlocks or raises — that is exactly when the checkers are most useful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
 
 # Importing the checker modules registers them.
-import repro.analysis.cookies    # noqa: F401
-import repro.analysis.deadlock   # noqa: F401
-import repro.analysis.direction  # noqa: F401
-import repro.analysis.races      # noqa: F401
-from repro.analysis.direction import DirectionSpec
+import repro.analysis.checkers  # noqa: F401
+import repro.analysis.deadlock  # noqa: F401
 from repro.analysis.findings import Report, run_checkers
 from repro.analysis.model import build_model
+from repro.coll.algorithms import DirectionSpec, get_schedule
 from repro.errors import CollectiveError, DeadlockError, ReproError
 from repro.mpi.runtime import Job, Machine, Proc
 from repro.mpi.stacks import KNEM_COLL, MPICH2_KNEM, TUNED_KNEM, Stack
@@ -38,12 +38,15 @@ class AlgoSpec:
     name: str
     stack: Stack
     program: Callable
-    direction: Optional[DirectionSpec]
+    direction: DirectionSpec
     nbytes: int
     description: str
 
 
 ALGOS: dict[str, AlgoSpec] = {}
+
+#: a rank's collective program: yields simulator events, returns its finish
+_Program = Generator[Any, Any, float]
 
 
 def algo_names() -> list[str]:
@@ -67,7 +70,7 @@ def _verify(proc: Proc, got: np.ndarray, want: np.ndarray, what: str) -> None:
         )
 
 
-def _bcast_program(proc: Proc, nbytes: int):
+def _bcast_program(proc: Proc, nbytes: int) -> _Program:
     buf = proc.alloc_array(nbytes, label=f"bcast-r{proc.rank}")
     want = _pattern(0, nbytes)
     if proc.rank == 0:
@@ -77,7 +80,7 @@ def _bcast_program(proc: Proc, nbytes: int):
     return proc.now
 
 
-def _scatter_program(proc: Proc, nbytes: int):
+def _scatter_program(proc: Proc, nbytes: int) -> _Program:
     size = proc.comm.size
     recv = proc.alloc_array(nbytes, label=f"scatter-recv-r{proc.rank}")
     send = None
@@ -91,7 +94,7 @@ def _scatter_program(proc: Proc, nbytes: int):
     return proc.now
 
 
-def _gather_program(proc: Proc, nbytes: int):
+def _gather_program(proc: Proc, nbytes: int) -> _Program:
     size = proc.comm.size
     send = proc.alloc_array(nbytes, label=f"gather-send-r{proc.rank}")
     send.array[:] = _pattern(proc.rank, nbytes)
@@ -107,7 +110,7 @@ def _gather_program(proc: Proc, nbytes: int):
     return proc.now
 
 
-def _allgather_program(proc: Proc, nbytes: int):
+def _allgather_program(proc: Proc, nbytes: int) -> _Program:
     size = proc.comm.size
     send = proc.alloc_array(nbytes, label=f"allgather-send-r{proc.rank}")
     send.array[:] = _pattern(proc.rank, nbytes)
@@ -119,7 +122,7 @@ def _allgather_program(proc: Proc, nbytes: int):
     return proc.now
 
 
-def _alltoallv_program(proc: Proc, nbytes: int):
+def _alltoallv_program(proc: Proc, nbytes: int) -> _Program:
     size = proc.comm.size
     me = proc.rank
     send = proc.alloc_array(nbytes * size, label=f"a2av-send-r{me}")
@@ -145,32 +148,22 @@ _PROGRAMS: dict[str, Callable] = {
     "alltoallv": _alltoallv_program,
 }
 
-#: KNEM-Coll's declared direction contracts (Section V of the paper).
-_KNEM_DIRECTIONS: dict[str, DirectionSpec] = {
-    "bcast": DirectionSpec("read", concurrent=True),
-    "scatter": DirectionSpec("read", concurrent=True),
-    "gather": DirectionSpec("write", concurrent=True),
-    "allgather": DirectionSpec("mixed", concurrent=True),
-    "alltoallv": DirectionSpec("read", concurrent=True),
-}
-
-#: Point-to-point stacks: the pml's KNEM rendezvous is always
-#: receiver-reading, and no concurrency contract is declared (tree
-#: algorithms legitimately funnel copies through inner ranks).
-_P2P_DIRECTION = DirectionSpec("read", concurrent=False)
-
 
 def _register_stacks() -> None:
-    for prefix, stack, nbytes, direction_of in (
-        ("knem", KNEM_COLL, 64 * KiB, _KNEM_DIRECTIONS.get),
-        ("tuned", TUNED_KNEM, 256 * KiB, lambda _op: _P2P_DIRECTION),
-        ("mpich2", MPICH2_KNEM, 1024 * KiB, lambda _op: _P2P_DIRECTION),
+    for prefix, stack, nbytes in (
+        ("knem", KNEM_COLL, 64 * KiB),
+        ("tuned", TUNED_KNEM, 256 * KiB),
+        ("mpich2", MPICH2_KNEM, 1024 * KiB),
     ):
         for op, program in _PROGRAMS.items():
             name = f"{prefix}_{op}"
+            # tuned and mpich2 run alltoallv through their alltoall schedule
+            exported = "alltoall" if op == "alltoallv" and prefix != "knem" \
+                else op
             ALGOS[name] = AlgoSpec(
                 name=name, stack=stack, program=program,
-                direction=direction_of(op), nbytes=nbytes,
+                direction=get_schedule(f"{prefix}.{exported}").contract,
+                nbytes=nbytes,
                 description=f"{op} on the {stack.name} stack "
                             f"({nbytes // KiB} KiB per rank)",
             )

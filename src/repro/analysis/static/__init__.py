@@ -1,24 +1,24 @@
 """Static schedule verification and the KNEM-San runtime sanitizer.
 
-Three trace-independent layers on top of the PR 1 trace analyzers:
+Layers beside the trace analyzer that need no traced run:
 
 - :mod:`repro.analysis.static.schedules` — a symbolic extractor that runs
   the *real* ``coll/`` schedule builders against stub hardware (no
-  :class:`~repro.simtime.core.Simulator` involved) and checks the resulting
-  happens-before model for byte-range races, cookie use-after-invalidate
-  and board synchronization;
+  :class:`~repro.simtime.core.Simulator` involved), builds the same
+  happens-before model a traced run yields, and runs the same checker set
+  over it;
 - :mod:`repro.analysis.static.interleave` — a sleep-set/DPOR explorer that
   replays the extracted per-rank schedules under every inequivalent
   interleaving, proving wait-cycle deadlock freedom and witnessing racy
   orders;
-- :mod:`repro.analysis.static.shadowmem` — byte-interval shadow memory:
-  the pure interval logic shared with the checker, plus the runtime
-  "KNEM-San" sanitizer armed via :meth:`repro.mpi.runtime.Machine.arm_sanitizer`;
+- :mod:`repro.analysis.static.shadowmem` — the runtime "KNEM-San"
+  sanitizer armed via :meth:`repro.mpi.runtime.Machine.arm_sanitizer`;
 - :mod:`repro.analysis.static.lint` — the repro-specific AST lint pass
   (wall-clock time, unseeded randomness, unguarded trace emits, cookie
-  release on abort paths).
+  release on abort paths, region/copy direction mismatches).
 """
 
+from repro.analysis.model import Access, accesses_conflict, intervals_overlap
 from repro.analysis.static.interleave import (
     ExploreResult,
     Op,
@@ -38,12 +38,9 @@ from repro.analysis.static.schedules import (
     verify_schedule,
 )
 from repro.analysis.static.shadowmem import (
-    Access,
     FifoSanitizer,
     KnemSanitizer,
     SingleCopySanitizer,
-    accesses_conflict,
-    intervals_overlap,
 )
 
 __all__ = [

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.analysis.findings import ERROR, WARNING, Finding
-from repro.analysis.static.shadowmem import (
-    Access,
-    accesses_conflict,
-    intervals_overlap,
-)
+from repro.analysis.model import Access, accesses_conflict, intervals_overlap
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.static.schedules import ScheduleModel
 
 __all__ = ["Op", "ExploreResult", "explore_ops", "explore_model",
            "interleaving_log10"]
@@ -248,8 +247,6 @@ class _Explorer:
             child_sleep = {s for s in fr.sleep
                            if not self._sleep_wakes(s, op)}
             frames.append(self._open_state(child_sleep))
-        if not frames:
-            return
 
     def _pending_conflict(self, op: Op) -> bool:
         """Does ``op`` conflict with an op of another rank not yet run?"""
@@ -301,7 +298,6 @@ class _Explorer:
             choices = runnable[:1]
         if not choices:
             # every enabled op is asleep: this branch is covered elsewhere
-            self.executions += 0
             return _Frame([], sleep)
         return _Frame(choices, sleep)
 
@@ -369,20 +365,17 @@ def explore_ops(ops: "list[list[Op]]",
     return result
 
 
-def explore_model(model: object,
+def explore_model(model: "ScheduleModel",
                   max_transitions: int = 250_000) -> ExploreResult:
     """Explore a :class:`~repro.analysis.static.schedules.ScheduleModel`.
 
     The model's vector clocks feed the ``hb`` predicate: pairs the unique
     match graph already orders never force a branch.
     """
-    ops = getattr(model, "replay")
-    vcs = {step.gid: step.vc for step in getattr(model, "steps")}
+    steps = model.steps
 
     def hb(gid_a: int, gid_b: int) -> bool:
-        va, vb = vcs.get(gid_a), vcs.get(gid_b)
-        if va is None or vb is None:
-            return False
-        return va.leq(vb) or vb.leq(va)
+        a, b = steps[gid_a], steps[gid_b]
+        return a.precedes(b) or b.precedes(a)
 
-    return explore_ops(ops, max_transitions=max_transitions, hb=hb)
+    return explore_ops(model.replay, max_transitions=max_transitions, hb=hb)

@@ -1,8 +1,6 @@
 """Repro-specific AST lint pass.
 
-Four rules keep the simulation deterministic and its kernel model honest,
-complementing the trace-time direction scan in
-:mod:`repro.analysis.direction`:
+Five rules keep the simulation deterministic and its kernel model honest:
 
 - ``wall-clock-time`` — no ``time.time()`` / ``perf_counter()`` /
   ``datetime.now()`` inside the simulation; virtual time comes from the
@@ -21,6 +19,12 @@ complementing the trace-time direction scan in
   ``create_region`` / ``_register_or_degrade`` must either return it to its
   caller or release it in a ``finally`` block, so abort paths cannot leak
   pinned regions.
+- ``static-direction-mismatch`` — within one function, a ``copy`` /
+  ``icopy`` whose literal ``write=`` direction none of the function's
+  ``create_region`` protections (literal ``PROT_*`` expressions) grants:
+  a receiver-reading copy needs ``PROT_READ``, a sender-writing one
+  ``PROT_WRITE``.  Protections computed through helpers are out of scope;
+  the ``direction`` checker still covers them at run time.
 
 One repository-level rule rides along with the AST pass:
 
@@ -39,9 +43,10 @@ from __future__ import annotations
 import ast
 import subprocess
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.analysis.findings import ERROR, Finding
+from repro.kernel.knem import PROT_READ, PROT_WRITE
 
 __all__ = ["lint_paths", "lint_source", "lint_tracked_bytecode"]
 
@@ -72,6 +77,9 @@ _RELEASERS = {"reclaim", "destroy_region_safe", "destroy_region",
 #: calls whose result binds a cookie
 _COOKIE_SOURCES = {"create_region", "_register_or_degrade"}
 
+#: protection-flag names the direction rule evaluates
+_PROT_NAMES = {"PROT_READ": PROT_READ, "PROT_WRITE": PROT_WRITE}
+
 
 def _call_name(node: ast.Call) -> str:
     func = node.func
@@ -80,6 +88,33 @@ def _call_name(node: ast.Call) -> str:
     if isinstance(func, ast.Name):
         return func.id
     return ""
+
+
+def _prot_of(node: ast.expr) -> Optional[int]:
+    """Evaluate a protection-flag expression (names, ``|``, int literals)."""
+    if isinstance(node, ast.Name):
+        return _PROT_NAMES.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return _PROT_NAMES.get(node.attr)
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return node.value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        left, right = _prot_of(node.left), _prot_of(node.right)
+        if left is not None and right is not None:
+            return left | right
+    return None
+
+
+def _own_calls(func: ast.FunctionDef) -> Iterator[ast.Call]:
+    """Calls in ``func``'s body; nested functions are their own scope."""
+    stack: "list[ast.AST]" = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _dotted(node: ast.AST) -> str:
@@ -249,7 +284,37 @@ class _Linter(ast.NodeVisitor):
     # -- cookie release on abort paths ------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_cookie_paths(node)
+        self._check_directions(node)
         self.generic_visit(node)
+
+    # -- region protections vs copy directions ----------------------------
+    def _check_directions(self, node: ast.FunctionDef) -> None:
+        mask = 0
+        copies: "list[tuple[ast.Call, bool]]" = []
+        for call in _own_calls(node):
+            name = _call_name(call)
+            if name == "create_region":
+                prot_node = next((kw.value for kw in call.keywords
+                                  if kw.arg == "prot"),
+                                 call.args[-1] if call.args else None)
+                prot = _prot_of(prot_node) if prot_node is not None else None
+                mask |= prot or 0
+            elif name in ("copy", "icopy"):
+                for kw in call.keywords:
+                    if kw.arg == "write" and isinstance(kw.value, ast.Constant):
+                        copies.append((call, bool(kw.value.value)))
+        if not mask:
+            return
+        granted = " | ".join(n for n, bit in _PROT_NAMES.items()
+                             if mask & bit) or "nothing"
+        for call, write in sorted(copies, key=lambda c: c[0].lineno):
+            if mask & (PROT_WRITE if write else PROT_READ):
+                continue
+            kind = "sender-writing" if write else "receiver-reading"
+            self.finding(
+                "static-direction-mismatch", call,
+                f"{kind} copy (write={write}) in {node.name}(), but the "
+                f"function only registers regions with {granted}")
 
     def _check_cookie_paths(self, node: ast.FunctionDef) -> None:
         if node.name in _COOKIE_SOURCES:

@@ -5,32 +5,23 @@ describe *what* a collective does — who registers which byte range, who
 copies what through which cookie, who waits on whom — while the simulator
 only supplies *when*.  This module runs the **real, unmodified** builders
 against symbolic stand-ins for the machine substrate (no
-:class:`~repro.simtime.core.Simulator` instance is ever created), producing
-a :class:`ScheduleModel`: per-rank ordered steps, message match edges,
-cookie lifecycles and byte-range accesses, with an online vector clock per
-rank.
+:class:`~repro.simtime.core.Simulator` instance is ever created) and builds
+the same happens-before model a traced run yields
+(:class:`~repro.analysis.model.TraceModel`): per-rank vector-clocked steps,
+cookie lifecycles, byte-range accesses, driver-rejected ioctls, board
+posts and reads, and — when the canonical execution wedges — the wait-for
+facts.  :class:`ScheduleModel` adds the per-rank replay the DPOR explorer
+walks.
 
-:func:`verify_model` then checks happens-before properties that hold for
-**all** interleavings of the schedule, not just the canonical extraction
-order:
-
-- ``byte-range-race`` — two HB-unordered accesses of different ranks
-  overlap on a byte with at least one writer (uncovered overlap);
-- ``use-after-invalidate`` / ``use-after-invalidate-window`` — a copy
-  through a cookie is not strictly ordered before the cookie's
-  deregistration;
-- ``cookie-leak`` / ``forced-reclaim`` — a region never released on some
-  completion path;
-- ``board-unsynchronized`` — a board read not ordered after the matching
-  post;
-- ``deadlock`` — the canonical execution wedges (plus the DPOR explorer's
-  all-interleavings wait-cycle proof, see
-  :mod:`repro.analysis.static.interleave`).
-
-Extraction soundness leans on two properties of the repro's collectives:
+:func:`verify_model` runs the registered checker set
+(:mod:`repro.analysis.checkers`) over the model, then explores its
+interleavings (:mod:`repro.analysis.static.interleave`).  The checks hold
+for **all** interleavings of the schedule, not just the canonical
+extraction order, because of two properties of the repro's collectives:
 message matching is deterministic (every recv names source and a
-phase-scoped tag), so there is exactly one match graph; and an HB-unordered
-conflicting pair implies a real interleaving that reorders it.
+phase-scoped tag), so there is exactly one match graph and hence one
+happens-before relation; and an HB-unordered conflicting pair implies a
+real interleaving that reorders it.
 """
 
 from __future__ import annotations
@@ -40,11 +31,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.analysis.findings import ERROR, WARNING, Finding
+from repro.analysis.findings import ERROR, Finding, run_checkers
+from repro.analysis.model import Access, Region, Step, TraceModel
 from repro.analysis.static.interleave import ExploreResult, Op, explore_model
-from repro.analysis.static.shadowmem import Access, intervals_overlap
 from repro.analysis.vectorclock import VectorClock
+from repro.coll.algorithms import (
+    DirectionSpec,
+    exported_schedules,
+    get_schedule,
+)
 from repro.errors import (
+    DeadlockError,
     HardwareConfigError,
     KnemBoundsError,
     KnemInvalidCookie,
@@ -70,70 +67,19 @@ __all__ = [
 _MAX_STEPS = 500_000
 
 
-# ---------------------------------------------------------------------------
-# model types
-# ---------------------------------------------------------------------------
+class ScheduleModel(TraceModel):
+    """The extracted happens-before model of one collective schedule.
 
-@dataclass
-class Step:
-    """One recorded schedule action with its vector-clock snapshot."""
+    Beyond the shared model it carries the per-rank op sequences the DPOR
+    explorer replays, the extraction's own findings (truncated messages,
+    ranks that raised) and ``error`` when extraction was cut short.
+    """
 
-    gid: int
-    rank: int
-    kind: str
-    vc: VectorClock
-    accesses: "tuple[Access, ...]" = ()
-    info: "dict[str, Any]" = field(default_factory=dict)
-
-    def describe(self) -> str:
-        extra = ", ".join(f"{k}={v}" for k, v in self.info.items()
-                          if k in ("dest", "src", "cookie", "nbytes", "tag"))
-        return f"step {self.gid} (rank {self.rank} {self.kind}" + \
-            (f", {extra})" if extra else ")")
-
-
-@dataclass
-class RegionModel:
-    """Lifecycle of one symbolic KNEM region."""
-
-    cookie: int
-    owner_rank: int
-    owner_core: int
-    buf: Any
-    offset: int
-    length: int
-    prot: int
-    register_step: Step
-    destroy_step: "Optional[Step]" = None
-    forced: bool = False
-    copies: "list[Step]" = field(default_factory=list)
-
-
-@dataclass
-class ScheduleModel:
-    """The extracted happens-before model of one collective schedule."""
-
-    nranks: int
-    steps: "list[Step]" = field(default_factory=list)
-    replay: "list[list[Op]]" = field(default_factory=list)
-    regions: "dict[int, RegionModel]" = field(default_factory=dict)
-    board_posts: "dict[Any, Step]" = field(default_factory=dict)
-    board_gets: "list[tuple[Any, Step]]" = field(default_factory=list)
-    findings: "list[Finding]" = field(default_factory=list)
-    messages: int = 0
-    deadlocked: bool = False
-    error: str = ""
-
-    def accesses(self) -> "dict[Any, list[tuple[Step, Access]]]":
-        spaces: "dict[Any, list[tuple[Step, Access]]]" = {}
-        for step in self.steps:
-            for acc in step.accesses:
-                spaces.setdefault(acc.space, []).append((step, acc))
-        return spaces
-
-
-def _concurrent(a: Step, b: Step) -> bool:
-    return not a.vc.leq(b.vc) and not b.vc.leq(a.vc)
+    def __init__(self, nprocs: int, machine: str = "") -> None:
+        super().__init__(nprocs, machine)
+        self.replay: "list[list[Op]]" = [[] for _ in range(nprocs)]
+        self.findings: "list[Finding]" = []
+        self.error = ""
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +180,7 @@ class _Envelope:
     nbytes: int
     rendezvous: bool
     is_obj: bool
-    send_vc: VectorClock
+    send: Step
     event: SymEvent
 
 
@@ -242,7 +188,7 @@ class _Envelope:
 class _RecvPost:
     rank: int
     req: SymRequest
-    post_vc: VectorClock
+    post: Step
     is_obj: bool
     buf: Optional[SymBuffer] = None
     offset: int = 0
@@ -254,14 +200,26 @@ _OBJECT_NBYTES = 8
 
 
 class SymKnem:
-    """Symbolic KNEM driver: records lifecycle steps, mimics ioctl checks."""
+    """Symbolic KNEM driver: records lifecycle steps, mimics ioctl checks.
+
+    An ioctl the real driver would reject is recorded as a ``fail`` step
+    (the checkers turn it into a finding) and raised like the driver does.
+    """
 
     def __init__(self, ex: "_Extractor"):
         self._ex = ex
         self._cookie_seq = itertools.count(0xA000)
-        self.regions: "dict[int, RegionModel]" = {}
         self.health = _SymHealth()
         self.fault_plan: Optional[Any] = None
+
+    def _live(self, cookie: int) -> Optional[Region]:
+        region = self._ex.model.regions.get(cookie)
+        return region if region is not None and region.destroy is None \
+            else None
+
+    def _reject(self, op: str, exc: Exception, **info: Any) -> Exception:
+        self._ex.record("fail", op=op, error=type(exc).__name__, **info)
+        return exc
 
     def create_region(self, core: int, buffer: SymBuffer, offset: int,
                       length: int, prot: int) -> "Iterator[Any]":
@@ -269,25 +227,18 @@ class SymKnem:
             yield None
         ex = self._ex
         if prot & ~(PROT_READ | PROT_WRITE) or prot == 0:
-            ex.finding(ERROR, "symknem", "bad-protection",
-                       f"register with bad protection flags {prot:#x}")
-            raise KnemPermissionError(f"bad protection flags {prot:#x}")
+            raise self._reject("register", KnemPermissionError(
+                f"bad protection flags {prot:#x}"))
         try:
             buffer.check_range(offset, length)
         except KnemBoundsError as exc:
-            ex.finding(ERROR, "symknem", "register-out-of-bounds", str(exc))
-            raise
+            raise self._reject("register", exc) from None
         cookie = next(self._cookie_seq)
         step = ex.record("register", cookie=cookie, buf=buffer.id,
                          offset=offset, length=length, prot=prot)
-        region = RegionModel(cookie=cookie, owner_rank=step.rank,
-                             owner_core=core, buf=buffer.id, offset=offset,
-                             length=length, prot=prot, register_step=step)
-        self.regions[cookie] = region
-        ex.model.regions[cookie] = region
-        ex.replay_op(Op(rank=step.rank, kind="local", cookie_verb="register",
-                        cookie=cookie, gid=step.gid,
-                        label=f"register cookie {cookie:#x}"))
+        ex.model.add_region(step, cookie, buffer.id, offset, length, prot,
+                            label=buffer.label)
+        ex.local_op(step, f"register cookie {cookie:#x}", "register", cookie)
         return cookie
 
     def copy(self, core: int, cookie: int, region_offset: int,
@@ -296,79 +247,54 @@ class SymKnem:
         if False:  # pragma: no cover - generator marker
             yield None
         ex = self._ex
-        region = self.regions.get(cookie)
+        region = self._live(cookie)
         kind = "write" if write else "read"
-        if region is None or region.destroy_step is not None or region.forced:
-            ex.finding(ERROR, "symknem", "use-after-invalidate",
-                       f"{kind} copy through cookie {cookie:#x} after it "
-                       f"was destroyed (canonical order)")
-            raise KnemInvalidCookie(f"cookie {cookie:#x} is not a live region")
-        want = PROT_WRITE if write else PROT_READ
-        if not region.prot & want:
-            ex.finding(ERROR, "symknem", "direction-violation",
-                       f"{kind} copy against region {cookie:#x} protection "
-                       f"{region.prot:#x}")
-            raise KnemPermissionError(
-                f"region {cookie:#x} does not allow {kind} access")
+        info = {"cookie": cookie, "nbytes": nbytes, "write": write}
+        if region is None:
+            raise self._reject("copy", KnemInvalidCookie(
+                f"cookie {cookie:#x} is not a live region"), **info)
+        if not region.prot & (PROT_WRITE if write else PROT_READ):
+            raise self._reject("copy", KnemPermissionError(
+                f"region {cookie:#x} does not allow {kind} access"), **info)
         if region_offset < 0 or nbytes < 0 \
                 or region_offset + nbytes > region.length:
-            ex.finding(ERROR, "symknem", "copy-out-of-bounds",
-                       f"copy [{region_offset}, {region_offset + nbytes}) "
-                       f"outside region {cookie:#x} of length {region.length}")
-            raise KnemBoundsError(
+            raise self._reject("copy", KnemBoundsError(
                 f"[{region_offset}, {region_offset + nbytes}) outside "
-                f"region of length {region.length}")
+                f"region of length {region.length}"), **info)
         local.check_range(local_offset, nbytes)
         start = region.offset + region_offset
         accesses = (
             Access(region.buf, start, start + nbytes, write),
             Access(local.id, local_offset, local_offset + nbytes, not write),
         )
-        step = ex.record("knem-copy", accesses=accesses, cookie=cookie,
-                         nbytes=nbytes, write=write)
-        region.copies.append(step)
-        ex.replay_op(Op(rank=step.rank, kind="local", accesses=accesses,
-                        cookie_verb="copy", cookie=cookie, gid=step.gid,
-                        label=f"{kind} copy via cookie {cookie:#x}"))
+        step = ex.record("knem-copy", accesses=accesses, **info)
+        region.uses.append(step)
+        ex.local_op(step, f"{kind} copy via cookie {cookie:#x}", "copy", cookie)
         return None
+
+    def _release(self, region: Region, kind: str) -> None:
+        step = self._ex.record(kind, cookie=region.cookie)
+        region.destroy = step
+        self._ex.local_op(step, f"{kind} cookie {region.cookie:#x}",
+                          "destroy", region.cookie)
 
     def destroy_region(self, core: int, cookie: int) -> "Iterator[Any]":
         if False:  # pragma: no cover - generator marker
             yield None
-        ex = self._ex
-        region = self.regions.get(cookie)
-        if region is None or region.destroy_step is not None or region.forced:
-            ex.finding(ERROR, "symknem", "double-destroy",
-                       f"destroy of cookie {cookie:#x} which is not live")
-            raise KnemInvalidCookie(f"cookie {cookie:#x} is not a live region")
-        step = ex.record("destroy", cookie=cookie)
-        region.destroy_step = step
-        ex.replay_op(Op(rank=step.rank, kind="local", cookie_verb="destroy",
-                        cookie=cookie, gid=step.gid,
-                        label=f"destroy cookie {cookie:#x}"))
+        region = self._live(cookie)
+        if region is None:
+            raise self._reject("destroy", KnemInvalidCookie(
+                f"cookie {cookie:#x} is not a live region"), cookie=cookie)
+        self._release(region, "destroy")
         return None
 
     def destroy_region_safe(self, core: int, cookie: int) -> "Iterator[Any]":
         yield from self.destroy_region(core, cookie)
 
     def reclaim(self, core: int, cookie: int) -> None:
-        region = self.regions.get(cookie)
-        if region is None or region.destroy_step is not None or region.forced:
-            return
-        step = self._ex.record("reclaim", cookie=cookie)
-        region.forced = True
-        region.destroy_step = step
-        self._ex.replay_op(Op(rank=step.rank, kind="local",
-                              cookie_verb="destroy", cookie=cookie,
-                              gid=step.gid,
-                              label=f"reclaim cookie {cookie:#x}"))
-
-    def reclaim_owned(self, core: int) -> "list[int]":
-        cookies = [c for c, r in self.regions.items()
-                   if r.owner_core == core and r.destroy_step is None]
-        for cookie in cookies:
-            self.reclaim(core, cookie)
-        return cookies
+        region = self._live(cookie)
+        if region is not None:
+            self._release(region, "reclaim")
 
 
 class SymMem:
@@ -384,9 +310,7 @@ class SymMem:
                     Access(dst.id, dst_off, dst_off + nbytes, True))
         step = self._ex.record("local-copy", accesses=accesses,
                                nbytes=nbytes, label=label)
-        self._ex.replay_op(Op(rank=step.rank, kind="local",
-                              accesses=accesses, gid=step.gid,
-                              label=f"local copy ({label})"))
+        self._ex.local_op(step, f"local copy ({label})")
         return _Ready(None)
 
 
@@ -440,25 +364,22 @@ class _Board:
         self._ex = ex
         self._data: "dict[Any, Any]" = {}
 
-    def __setitem__(self, key: Any, value: Any) -> None:
+    def _touch(self, key: Any, write: bool) -> Step:
         space = ("board",) + tuple(key) if isinstance(key, tuple) \
             else ("board", key)
-        acc = (Access(space, 0, 1, True),)
-        step = self._ex.record("board-post", accesses=acc, key=key)
-        self._ex.model.board_posts[key] = step
-        self._ex.replay_op(Op(rank=step.rank, kind="local", accesses=acc,
-                              gid=step.gid, label=f"board post {key}"))
+        acc = (Access(space, 0, 1, write),)
+        verb = "post" if write else "get"
+        step = self._ex.record(f"board-{verb}", accesses=acc, key=key)
+        self._ex.local_op(step, f"board {verb} {key}")
+        return step
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        self._ex.model.board_posts[key] = self._touch(key, True)
         self._data[key] = value
 
     def __getitem__(self, key: Any) -> Any:
         value = self._data[key]  # KeyError -> CommunicatorError upstream
-        space = ("board",) + tuple(key) if isinstance(key, tuple) \
-            else ("board", key)
-        acc = (Access(space, 0, 1, False),)
-        step = self._ex.record("board-get", accesses=acc, key=key)
-        self._ex.model.board_gets.append((key, step))
-        self._ex.replay_op(Op(rank=step.rank, kind="local", accesses=acc,
-                              gid=step.gid, label=f"board get {key}"))
+        self._ex.model.board_gets.append((key, self._touch(key, False)))
         return value
 
     def __contains__(self, key: Any) -> bool:
@@ -557,9 +478,7 @@ class _Extractor:
         self.stack = stack
         self.nprocs = nprocs
         self.cores = bind_ranks(spec, nprocs)
-        self.rank_of_core = {c: r for r, c in enumerate(self.cores)}
-        self.model = ScheduleModel(nranks=nprocs,
-                                   replay=[[] for _ in range(nprocs)])
+        self.model = ScheduleModel(nprocs, machine=spec.name)
         self.machine = SymMachine(self, spec)
         self.world = SymWorld(self.machine, stack, nprocs)
         self.procs = [SymProc(self, r, c) for r, c in enumerate(self.cores)]
@@ -567,7 +486,6 @@ class _Extractor:
         self.comms = [SymComm(self, r) for r in range(nprocs)]
         self.channels: "dict[tuple[Any, ...], _Chan]" = {}
         self.current_rank = 0
-        self._gid = itertools.count(0)
         self._buf_seq = itertools.count(1)
         self.states: "list[_RankState]" = []
 
@@ -587,23 +505,20 @@ class _Extractor:
         r = self.current_rank if rank is None else rank
         vc = self.states[r].vc
         vc.tick(r)
-        step = Step(gid=next(self._gid), rank=r, kind=kind, vc=vc.copy(),
-                    accesses=accesses, info=info)
-        self.model.steps.append(step)
-        if step.gid > _MAX_STEPS:
+        step = self.model.add_step(kind, r, vc.copy(), accesses, info)
+        if step.index > _MAX_STEPS:
             raise RuntimeError("schedule extraction exceeded step budget")
-        return step
-
-    def record_async(self, kind: str, rank: int, vc: VectorClock,
-                     accesses: "tuple[Access, ...]" = (),
-                     **info: Any) -> Step:
-        step = Step(gid=next(self._gid), rank=rank, kind=kind, vc=vc,
-                    accesses=accesses, info=info)
-        self.model.steps.append(step)
         return step
 
     def replay_op(self, op: Op) -> None:
         self.model.replay[op.rank].append(op)
+
+    def local_op(self, step: Step, label: str, cookie_verb: str = "",
+                 cookie: int = -1) -> None:
+        """Replay a step of the current rank that no message orders."""
+        self.replay_op(Op(rank=self.current_rank, kind="local",
+                          accesses=step.accesses, cookie_verb=cookie_verb,
+                          cookie=cookie, gid=step.index, label=label))
 
     def channel(self, key: "tuple[Any, ...]") -> _Chan:
         ch = self.channels.get(key)
@@ -626,16 +541,15 @@ class _Extractor:
         idx = ch.sends
         ch.sends += 1
         self.replay_op(Op(rank=src, kind="send", chan=chan, idx=idx,
-                          accesses=accesses, gid=step.gid,
+                          accesses=accesses, gid=step.index,
                           label=("rendezvous send" if rendezvous
                                  else "eager send")))
         ev = SymEvent(ref=("fin", chan, idx) if rendezvous else None)
         req = SymRequest(ev)
         env = _Envelope(payload=payload, nbytes=nbytes, rendezvous=rendezvous,
-                        is_obj=is_obj, send_vc=step.vc, event=ev)
+                        is_obj=is_obj, send=step, event=ev)
         if not rendezvous:
             ev.succeed(None)
-        self.model.messages += 1
         if ch.waiting:
             self._match(chan, env, ch.waiting.popleft())
         else:
@@ -654,11 +568,11 @@ class _Extractor:
         if not is_obj and buf is not None and nbytes > 0:
             accesses = (Access(buf.id, offset, offset + nbytes, True),)
         self.replay_op(Op(rank=dst, kind="recv", chan=chan, idx=idx,
-                          accesses=accesses, gid=step.gid,
+                          accesses=accesses, gid=step.index,
                           label="recv post"))
         ev = SymEvent(ref=("recv", chan, idx))
         req = SymRequest(ev)
-        post = _RecvPost(rank=dst, req=req, post_vc=step.vc, is_obj=is_obj,
+        post = _RecvPost(rank=dst, req=req, post=step, is_obj=is_obj,
                          buf=buf, offset=offset, nbytes=nbytes)
         if ch.queue:
             self._match(chan, ch.queue.popleft(), post)
@@ -674,17 +588,17 @@ class _Extractor:
                          f"message of {env.nbytes} B from rank {src} "
                          f"truncated into a {post.nbytes} B recv at rank "
                          f"{dst} (tag {tag})", rank=dst)
-        delivery_vc = post.post_vc.copy()
-        delivery_vc.join(env.send_vc)
+        delivery_vc = _vc(post.post).copy()
+        delivery_vc.join(_vc(env.send))
         accesses: "tuple[Access, ...]" = ()
         if not env.is_obj and post.buf is not None:
             n = min(env.nbytes, post.nbytes)
             if n > 0:
                 accesses = (Access(post.buf.id, post.offset,
                                    post.offset + n, True),)
-        self.record_async("deliver", post.rank, delivery_vc,
-                          accesses=accesses, src=src, tag=tag,
-                          nbytes=env.nbytes)
+        # delivery joins both ends without ticking either rank
+        self.model.add_step("deliver", post.rank, delivery_vc, accesses,
+                            {"src": src, "tag": tag, "nbytes": env.nbytes})
         status = SymStatus(source=src, tag=tag, nbytes=env.nbytes,
                            payload=env.payload)
         post.req.event.succeed(status, join_vc=delivery_vc)
@@ -766,28 +680,38 @@ class _Extractor:
             return
 
     def _report_deadlock(self) -> None:
+        """Hand the wedge to the deadlock checker as wait-for facts."""
         if any(st.failed for st in self.states):
             return  # an extraction error already explains the wedge
-        self.model.deadlocked = True
-        blocked = []
+        model = self.model
+        blocked: "list[str]" = []
+        waiting: "dict[str, str]" = {}
         for rank, st in enumerate(self.states):
             if st.done or st.blocked_on is None:
                 continue
+            name = f"rank{rank}"
+            blocked.append(name)
             ref = st.blocked_on.ref
             if ref is None:
-                blocked.append(f"rank {rank} waiting on an internal event")
+                waiting[name] = "an internal event"
                 continue
-            kind, chan, idx = ref
-            src, dst, tag = chan
-            if kind == "recv":
-                blocked.append(f"rank {rank} waiting for message #{idx} "
-                               f"from rank {src} (tag {tag})")
-            else:
-                blocked.append(f"rank {rank} waiting for rank {dst} to "
-                               f"drain rendezvous send #{idx} (tag {tag})")
-        self.model.findings.append(Finding(
-            checker="symcomm", category="deadlock", severity=ERROR,
-            message="canonical execution wedged: " + "; ".join(blocked)))
+            kind, (src, dst, tag), idx = ref
+            waiting[name] = (
+                f"message #{idx} from rank {src} (tag {tag})"
+                if kind == "recv" else
+                f"rank {dst} to drain rendezvous send #{idx} (tag {tag})")
+        for (src, dst, _tag), ch in self.channels.items():
+            for env in ch.queue:
+                if env.rendezvous:
+                    model.outstanding_sends[env.send.index] = (src, dst)
+            for post in ch.waiting:
+                model.pending_recvs[post.post.index] = (dst, src)
+        model.deadlock = DeadlockError(blocked, waiting=waiting)
+
+
+def _vc(step: Step) -> VectorClock:
+    assert step.vc is not None  # every extracted step carries a clock
+    return step.vc
 
 
 # ---------------------------------------------------------------------------
@@ -881,147 +805,18 @@ def extract_model(component: str, op: str, machine: "str | MachineSpec",
 # happens-before verification
 # ---------------------------------------------------------------------------
 
-_MAX_RACES_PER_SPACE = 8
-
-
-def _check_races(model: ScheduleModel) -> "list[Finding]":
-    findings: "list[Finding]" = []
-    for space in sorted(model.accesses(), key=str):
-        entries = model.accesses()[space]
-        writes = [(s, a) for s, a in entries if a.write]
-        if not writes:
-            continue
-        reported = 0
-        for i, (sa, aa) in enumerate(writes):
-            others = writes[i + 1:] + [(s, a) for s, a in entries
-                                       if not a.write]
-            for sb, ab in others:
-                if sa.rank == sb.rank:
-                    continue
-                if not intervals_overlap(aa.start, aa.end, ab.start, ab.end):
-                    continue
-                if not _concurrent(sa, sb):
-                    continue
-                kind = "write-write" if ab.write else "read-write"
-                findings.append(Finding(
-                    checker="schedule", category="byte-range-race",
-                    severity=ERROR,
-                    message=f"{kind} overlap on {space} "
-                            f"[{max(aa.start, ab.start)}, "
-                            f"{min(aa.end, ab.end)}) with no happens-before "
-                            f"edge: {sa.describe()} vs {sb.describe()}"))
-                reported += 1
-                if reported >= _MAX_RACES_PER_SPACE:
-                    break
-            if reported >= _MAX_RACES_PER_SPACE:
-                break
-    return findings
-
-
-def _check_cookies(model: ScheduleModel) -> "list[Finding]":
-    findings: "list[Finding]" = []
-    regions = sorted(model.regions.values(), key=lambda r: r.cookie)
-    for region in regions:
-        destroy = region.destroy_step
-        if destroy is None:
-            findings.append(Finding(
-                checker="schedule", category="cookie-leak", severity=ERROR,
-                message=f"cookie {region.cookie:#x} (registered at "
-                        f"{region.register_step.describe()}) is never "
-                        f"released on the completion path"))
-            continue
-        if region.forced:
-            findings.append(Finding(
-                checker="schedule", category="forced-reclaim",
-                severity=WARNING,
-                message=f"cookie {region.cookie:#x} only released by "
-                        f"forced reclaim ({destroy.describe()}) — abort "
-                        f"path, not a schedule release"))
-        for copy in region.copies:
-            if copy.vc.leq(destroy.vc):
-                continue
-            category = ("use-after-invalidate"
-                        if destroy.vc.leq(copy.vc)
-                        else "use-after-invalidate-window")
-            findings.append(Finding(
-                checker="schedule", category=category, severity=ERROR,
-                message=f"{copy.describe()} through cookie "
-                        f"{region.cookie:#x} is not ordered before its "
-                        f"deregistration ({destroy.describe()}): an "
-                        f"interleaving exists where the copy hits a dead "
-                        f"cookie"))
-    # overlapping concurrent registrations with a writer
-    for i, ra in enumerate(regions):
-        for rb in regions[i + 1:]:
-            if ra.buf != rb.buf:
-                continue
-            if not (ra.prot & PROT_WRITE or rb.prot & PROT_WRITE):
-                continue
-            if not intervals_overlap(ra.offset, ra.offset + ra.length,
-                                     rb.offset, rb.offset + rb.length):
-                continue
-            if (ra.destroy_step is not None
-                    and ra.destroy_step.vc.leq(rb.register_step.vc)):
-                continue
-            if (rb.destroy_step is not None
-                    and rb.destroy_step.vc.leq(ra.register_step.vc)):
-                continue
-            findings.append(Finding(
-                checker="schedule", category="overlapping-registration",
-                severity=WARNING,
-                message=f"cookies {ra.cookie:#x} and {rb.cookie:#x} expose "
-                        f"overlapping writable ranges of buffer {ra.buf} "
-                        f"with concurrent lifetimes"))
-    return findings
-
-
-def _check_board(model: ScheduleModel) -> "list[Finding]":
-    findings: "list[Finding]" = []
-    for key, get_step in model.board_gets:
-        post = model.board_posts.get(key)
-        if post is None:
-            continue  # the KeyError path already raised upstream
-        if post.rank == get_step.rank or post.vc.leq(get_step.vc):
-            continue
-        findings.append(Finding(
-            checker="schedule", category="board-unsynchronized",
-            severity=ERROR,
-            message=f"board entry {key} read at {get_step.describe()} "
-                    f"without a happens-before edge from its post "
-                    f"({post.describe()}); needs a barrier"))
-    return findings
-
-
-def _check_direction(model: ScheduleModel, direction: str) -> "list[Finding]":
-    if direction not in ("read", "write"):
-        return []
-    want = PROT_READ if direction == "read" else PROT_WRITE
-    findings: "list[Finding]" = []
-    for region in model.regions.values():
-        if region.prot & ~want:
-            findings.append(Finding(
-                checker="schedule", category="direction-mismatch",
-                severity=ERROR,
-                message=f"cookie {region.cookie:#x} registered with "
-                        f"protection {region.prot:#x} but the schedule "
-                        f"declares direction {direction!r} "
-                        f"(over-permissive region)"))
-    return findings
-
-
-def verify_model(model: ScheduleModel, direction: str = "mixed",
+def verify_model(model: ScheduleModel,
+                 direction: Optional[DirectionSpec] = None,
                  explore: bool = True,
                  max_transitions: int = 250_000,
                  ) -> "tuple[list[Finding], dict[str, object]]":
-    """All HB checks plus (optionally) the DPOR interleaving exploration."""
-    findings = list(model.findings)
-    findings += _check_races(model)
-    findings += _check_cookies(model)
-    findings += _check_board(model)
-    findings += _check_direction(model, direction)
+    """Extraction findings, the checker set, and (optionally) the DPOR
+    interleaving exploration."""
+    model.direction_spec = direction
+    findings = list(model.findings) + run_checkers(model)
     receipts: "dict[str, object]" = {
         "steps": len(model.steps),
-        "messages": model.messages,
+        "messages": sum(1 for s in model.steps if s.kind == "send"),
         "regions": len(model.regions),
     }
     if explore and not model.error:
@@ -1068,12 +863,7 @@ class VerifyResult:
             "nbytes": self.nbytes,
             "skipped": self.skipped,
             "clean": self.clean,
-            "findings": [
-                {"id": f.fid, "checker": f.checker, "category": f.category,
-                 "severity": f.severity, "rank": f.rank,
-                 "message": f.message}
-                for f in self.findings
-            ],
+            "findings": [f.to_dict() for f in self.findings],
             "receipts": dict(self.receipts),
         }
 
@@ -1083,20 +873,17 @@ def verify_schedule(name: str, machine: str = "zoot", nprocs: int = 8,
                     explore: bool = True,
                     max_transitions: int = 250_000) -> VerifyResult:
     """Model-check one exported schedule on one machine at one comm size."""
-    import repro.coll  # noqa: F401 - populates the schedule registry
-    from repro.coll.algorithms import get_schedule
-
     spec = get_schedule(name)
     result = VerifyResult(schedule=name, variant=variant, machine=machine,
                           nprocs=nprocs, nbytes=nbytes)
     stack = component_stack(spec.component)
-    direction = spec.direction
+    direction = spec.contract
     if variant:
         overrides = dict(dict(spec.variants).get(variant, ()))
         if not overrides:
             raise KeyError(f"schedule {name} has no variant {variant!r}")
         stack = stack.with_tuning(**overrides)
-        direction = "mixed"  # variants may flip the declared direction
+        direction = DirectionSpec()  # variants may flip the declared one
     hw = get_machine(machine)
     if nprocs > hw.n_cores:
         result.skipped = (f"{nprocs} ranks oversubscribe {machine} "
@@ -1122,9 +909,6 @@ def verify_registry(machines: "tuple[str, ...]" = ("zoot",),
                     explore: bool = True,
                     max_transitions: int = 250_000) -> "list[VerifyResult]":
     """Model-check every exported schedule across machines and comm sizes."""
-    import repro.coll  # noqa: F401 - populates the schedule registry
-    from repro.coll.algorithms import exported_schedules
-
     results: "list[VerifyResult]" = []
     for spec in exported_schedules():
         if names is not None and spec.name not in names:

@@ -1,14 +1,13 @@
-"""Byte-interval shadow memory and the runtime "KNEM-San" sanitizer.
+"""Byte-interval shadow memory: the runtime "KNEM-San" sanitizer.
 
-Two consumers share the interval logic in this module:
-
-- the static model checker (:mod:`repro.analysis.static.schedules`), which
-  uses :func:`intervals_overlap` over symbolic byte ranges, and
-- the **runtime sanitizer**: :class:`KnemSanitizer` /
-  :class:`FifoSanitizer`, hooked into :class:`repro.kernel.knem.KnemDriver`
-  and :class:`repro.kernel.shm.FifoSegment` behind ``is not None`` guards so
-  a machine with no sanitizer armed pays exactly one attribute test per
-  kernel call (the same zero-cost pattern the fault-injection plan uses).
+:class:`KnemSanitizer` / :class:`FifoSanitizer` hook into
+:class:`repro.kernel.knem.KnemDriver` and
+:class:`repro.kernel.shm.FifoSegment` behind ``is not None`` guards, so a
+machine with no sanitizer armed pays exactly one attribute test per kernel
+call (the same zero-cost pattern the fault-injection plan uses).  They check
+timing facts the happens-before model of :mod:`repro.analysis.model` does
+not hold: which copy windows are in flight at one instant, and which state
+each FIFO slot is in.
 
 The sanitizer tracks *ownership intervals*: every in-flight KNEM copy holds
 a byte window on the region's backing buffer until its completion event
@@ -26,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.findings import ERROR, WARNING, Finding
+from repro.analysis.model import intervals_overlap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.knem import KnemRegion
@@ -33,43 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simtime.core import Event
 
 __all__ = [
-    "intervals_overlap",
-    "Access",
-    "accesses_conflict",
     "KnemSanitizer",
     "FifoSanitizer",
     "SingleCopySanitizer",
 ]
-
-
-def intervals_overlap(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
-    """True when the half-open byte ranges ``[a_start, a_end)`` and
-    ``[b_start, b_end)`` share at least one byte."""
-    return a_start < b_end and b_start < a_end
-
-
-@dataclass(frozen=True)
-class Access:
-    """One byte-range access in an address space (symbolic or simulated).
-
-    ``space`` names the backing object — a :class:`SimBuffer` id for memory,
-    or a tuple key for non-byte shared state like the collective board.
-    """
-
-    space: object
-    start: int
-    end: int
-    write: bool
-
-
-def accesses_conflict(a: "tuple[Access, ...]", b: "tuple[Access, ...]") -> bool:
-    """Do two access sets touch a common byte with at least one writer?"""
-    for x in a:
-        for y in b:
-            if (x.write or y.write) and x.space == y.space \
-                    and intervals_overlap(x.start, x.end, y.start, y.end):
-                return True
-    return False
 
 
 @dataclass

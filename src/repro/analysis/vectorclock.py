@@ -35,21 +35,9 @@ class VectorClock:
                 mine[i] = theirs[i]
 
     def leq(self, other: "VectorClock") -> bool:
-        """True when this clock happens-before-or-equals ``other``."""
+        """True when this clock happens-before-or-equals ``other``: the one
+        happens-before test every checker uses."""
         return all(a <= b for a, b in zip(self.c, other.c))
-
-    @staticmethod
-    def ordered(a: "VectorClock", a_rank: int,
-                b: "VectorClock", b_rank: int) -> bool:
-        """Are two snapshots (by ``a_rank`` / ``b_rank``) HB-ordered?
-
-        Snapshot ``a`` taken by process ``p`` happens-before snapshot ``b``
-        iff ``a.c[p] <= b.c[p]`` (``b`` has seen ``a``'s tick); symmetric in
-        the other direction.  Same-process snapshots are always ordered.
-        """
-        if a_rank == b_rank:
-            return True
-        return a.c[a_rank] <= b.c[a_rank] or b.c[b_rank] <= a.c[b_rank]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"VC{self.c!r}"

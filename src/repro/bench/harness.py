@@ -115,10 +115,10 @@ class SweepStats:
     #: a simulation.
     service_cells: int = 0
     service_cache_hits: int = 0
-    #: trace-model events emitted by the sweep substrate itself
-    #: (``chunk.quarantine`` per aborted cell, ``journal.skip`` per
-    #: skipped record) — feed to ``TraceModel.ingest`` alongside simulator
-    #: streams
+    #: trace records of the sweep substrate, not of a simulation
+    #: (``chunk.quarantine``, ``journal.skip``/``journal.error``, the
+    #: ``service.*`` requests, cache hits and restarts); chaos oracles and
+    #: tests count them by category
     events: list = field(default_factory=list)
 
     def add_cell(self, stats: Optional[CellStats]) -> None:

@@ -18,6 +18,7 @@ __all__ = [
     "binary_parent_children",
     "chain_neighbors",
     "segments",
+    "DirectionSpec",
     "ScheduleSpec",
     "export_schedule",
     "exported_schedules",
@@ -27,15 +28,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class DirectionSpec:
+    """An algorithm's declared direction-control contract (Section III).
+
+    ``direction`` is ``"read"`` (all cross-rank copies receiver-reading),
+    ``"write"`` (all sender-writing), or ``"mixed"`` (composed schedules
+    like AllGather = Gather + Bcast; per-copy direction is not checked).
+    ``concurrent`` declares that cross-rank copies are expected to be
+    spread over several issuing cores — the analyzer's root-serialization
+    check only fires for contracts that declare it.
+    """
+
+    direction: str = "mixed"
+    concurrent: bool = False
+
+    def __post_init__(self) -> None:
+        if self.direction not in ("read", "write", "mixed"):
+            raise ValueError(f"bad direction {self.direction!r}")
+
+
+@dataclass(frozen=True)
 class ScheduleSpec:
     """One exported collective schedule, registered for static verification.
 
     Every collective component module calls :func:`export_schedule` at import
-    time for each operation it implements, so ``repro.analysis.static`` can
-    enumerate and model-check the full algorithm surface without knowing the
-    components by name.  ``direction`` / ``concurrent`` mirror the
-    :class:`repro.analysis.direction.DirectionSpec` contract the schedule is
-    expected to honour ("mixed" imposes no direction constraint).
+    time for each operation it implements, so ``repro.analysis`` can
+    enumerate and check the full algorithm surface without knowing the
+    components by name.  ``direction`` / ``concurrent`` declare the
+    :class:`DirectionSpec` contract the schedule is expected to honour
+    ("mixed" imposes no direction constraint); both the static verifier and
+    the trace analyzer read it from here.
     """
 
     component: str
@@ -51,6 +73,10 @@ class ScheduleSpec:
     @property
     def name(self) -> str:
         return f"{self.component}.{self.op}"
+
+    @property
+    def contract(self) -> DirectionSpec:
+        return DirectionSpec(self.direction, self.concurrent)
 
 
 #: name -> spec, in registration (module import) order.

@@ -171,11 +171,14 @@ class Mpich2Coll(TunedColl):
         yield from self._alltoall_pairwise(ctx, sendbuf, recvbuf, count)
 
 
-export_schedule("mpich2", "bcast",
+# Cross-rank copies are the pml's KNEM rendezvous, which is receiver-reading.
+export_schedule("mpich2", "bcast", direction="read",
                 description="binomial, then van de Geijn scatter+allgather")
-export_schedule("mpich2", "scatter", description="binomial at every size")
-export_schedule("mpich2", "gather", description="binomial at every size")
-export_schedule("mpich2", "allgather",
+export_schedule("mpich2", "scatter", direction="read",
+                description="binomial at every size")
+export_schedule("mpich2", "gather", direction="read",
+                description="binomial at every size")
+export_schedule("mpich2", "allgather", direction="read",
                 description="recursive doubling below 512 KiB (pow2) or ring")
-export_schedule("mpich2", "alltoall",
+export_schedule("mpich2", "alltoall", direction="read",
                 description="pairwise exchange above 256-byte blocks")

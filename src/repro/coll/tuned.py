@@ -245,13 +245,14 @@ class TunedColl(BaseColl):
             )
 
 
-export_schedule("tuned", "bcast",
+# Cross-rank copies are the pml's KNEM rendezvous, which is receiver-reading.
+export_schedule("tuned", "bcast", direction="read",
                 description="binomial / split-binary / chain pipeline by size")
-export_schedule("tuned", "scatter",
+export_schedule("tuned", "scatter", direction="read",
                 description="binomial below 6 KiB, linear otherwise")
-export_schedule("tuned", "gather",
+export_schedule("tuned", "gather", direction="read",
                 description="binomial below 6 KiB, linear otherwise")
-export_schedule("tuned", "allgather",
+export_schedule("tuned", "allgather", direction="read",
                 description="recursive doubling (pow2) or ring")
-export_schedule("tuned", "alltoall",
+export_schedule("tuned", "alltoall", direction="read",
                 description="pairwise exchange for all but tiny messages")

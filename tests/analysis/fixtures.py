@@ -134,13 +134,16 @@ def oob_cookie_program(proc, side: dict):
     return proc.now
 
 
-def overlapping_registration_program(proc):
-    """One rank registers two live regions over the same bytes."""
+def overlapping_registration_program(proc, writable: bool):
+    """One rank registers two live regions over the same bytes; the second
+    grants ``PROT_WRITE`` when ``writable`` (two read-only exports of the
+    same bytes are shared reading, not a hazard)."""
     knem = proc.machine.knem
     buf = proc.alloc(SIZE, label="overlap")
     first = yield from knem.create_region(proc.core, buf, 0, SIZE, PROT_READ)
-    second = yield from knem.create_region(proc.core, buf, SIZE // 2,
-                                           SIZE // 2, PROT_READ)
+    second = yield from knem.create_region(
+        proc.core, buf, SIZE // 2, SIZE // 2,
+        PROT_WRITE if writable else PROT_READ)
     yield from knem.destroy_region(proc.core, second)
     yield from knem.destroy_region(proc.core, first)
     return proc.now

@@ -25,7 +25,7 @@ def categories(findings):
 class TestSeededBugs:
     def test_use_after_free_cookie_flagged(self):
         findings = analyze(fx.use_after_free_program, checkers=["cookie"])
-        assert "use-after-deregister" in categories(findings)
+        assert "use-after-invalidate" in categories(findings)
         assert any(f.severity == ERROR for f in findings)
 
     def test_wrong_direction_flagged(self):
@@ -59,11 +59,16 @@ class TestSeededBugs:
         assert "leaked-region" in cats  # neither rank ever destroys it
 
     def test_overlapping_registration_warned(self):
-        findings = analyze(fx.overlapping_registration_program, nprocs=1,
-                           checkers=["cookie"])
+        findings = analyze(fx.overlapping_registration_program, True,
+                           nprocs=1, checkers=["cookie"])
         overlaps = [f for f in findings
                     if f.category == "overlapping-registration"]
         assert overlaps and all(f.severity == WARNING for f in overlaps)
+
+    def test_overlapping_read_only_registrations_not_flagged(self):
+        findings = analyze(fx.overlapping_registration_program, False,
+                           nprocs=1, checkers=["cookie"])
+        assert findings == [], [f.render() for f in findings]
 
     def test_root_reads_ablation_breaks_direction_contract(self):
         """Turning off gather's sender-writing strategy makes the root do

@@ -43,10 +43,6 @@ class TestCli:
                      "--size", "32K", "--checkers", "race,cookie"])
         assert code == 0
 
-    def test_static_scan_of_shipped_sources_is_clean(self, capsys):
-        assert main(["--static"]) == 0
-        assert "clean: no findings" in capsys.readouterr().out
-
     def test_findings_exit_two(self, capsys, monkeypatch):
         """A schedule whose declared direction contradicts its copies must
         drive the exit status to 2."""

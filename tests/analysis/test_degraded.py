@@ -53,13 +53,13 @@ def test_disqualified_job_schedule_is_clean():
 
 
 @pytest.mark.analyze_schedule
-def test_pml_retransmit_schedule_is_clean():
-    # the exchange program sends disjoint ranges per peer — unlike the
-    # tuned bcast tree, whose concurrent same-segment sends already trip
-    # the overlap checker on healthy runs
+@pytest.mark.parametrize("program", [fx.degraded_exchange_program,
+                                     fx.degraded_bcast_program],
+                         ids=lambda program: program.__name__)
+def test_pml_retransmit_schedule_is_clean(program):
     machine, _ = run_armed("dancer", 8, TUNED_KNEM,
                            FaultPlan.all_fail(("copy",), sticky=True),
-                           fx.degraded_exchange_program)
+                           program)
     assert machine.knem.live_regions == 0
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 import textwrap
 
+import pytest
+
 from repro.analysis.static import (lint_paths, lint_source,
                                    lint_tracked_bytecode)
 
@@ -149,6 +151,31 @@ class TestCookieRelease:
                 return cookie
         """)
         assert findings == []
+
+
+class TestDirection:
+    """A copy must move in a direction the function's regions grant."""
+
+    _REGION_AND_COPY = """
+        def move(knem, core, buf, n):
+            cookie = yield from knem.create_region(core, buf, 0, n, {prot})
+            yield from knem.copy(core, cookie, 0, buf, 0, n, write={write})
+            return cookie
+    """
+
+    def _lint_pair(self, prot, write):
+        return _lint(self._REGION_AND_COPY.format(prot=prot, write=write))
+
+    def test_writing_through_read_only_region_flagged(self):
+        findings = self._lint_pair("PROT_READ", True)
+        assert [f.category for f in findings] == ["static-direction-mismatch"]
+
+    @pytest.mark.parametrize("prot,write", [
+        ("PROT_WRITE", True),
+        ("PROT_READ | PROT_WRITE", False),
+    ])
+    def test_granted_direction_not_flagged(self, prot, write):
+        assert self._lint_pair(prot, write) == []
 
 
 class TestShippedSources:

@@ -11,7 +11,11 @@ from repro.analysis.static import (
     verify_registry,
     verify_schedule,
 )
-from repro.coll.algorithms import exported_schedules, get_schedule
+from repro.coll.algorithms import (
+    DirectionSpec,
+    exported_schedules,
+    get_schedule,
+)
 from repro.kernel.knem import PROT_READ, PROT_WRITE
 from repro.simtime import Simulator
 from repro.units import KiB
@@ -160,7 +164,7 @@ class TestSeededBadSchedules:
                               coll_factory=_OverlapGather)
         findings, receipts = verify_model(model)
         cats = _categories(findings)
-        assert ("schedule", "byte-range-race") in cats
+        assert ("race", "write-write-race") in cats
         # the DPOR explorer independently witnesses both orders
         assert ("interleave", "race-witness") in cats
         assert receipts["executions"] > 1  # branching actually happened
@@ -176,11 +180,9 @@ class TestSeededBadSchedules:
         model = extract_model("basic", "barrier", "zoot", 2,
                               coll_factory=_CrossRecvBarrier)
         findings, receipts = verify_model(model)
-        deadlocks = [f for f in findings
-                     if f.category == "deadlock" and f.severity == ERROR]
-        checkers = {f.checker for f in deadlocks}
-        assert "symcomm" in checkers  # canonical execution wedged
-        assert "interleave" in checkers  # ...and the explorer proves it
+        errors = _categories(f for f in findings if f.severity == ERROR)
+        assert ("deadlock", "wait-cycle") in errors  # canonical run wedged
+        assert ("interleave", "deadlock") in errors  # ...and DPOR proves it
         assert receipts["deadlocks"] >= 1
 
     def test_cookie_leak_reported(self):
@@ -197,7 +199,7 @@ class TestSeededBadSchedules:
         model = extract_model("basic", "bcast", "zoot", 2, nbytes=8 * KiB,
                               coll_factory=LeakyBcast)
         findings, _ = verify_model(model)
-        assert ("schedule", "cookie-leak") in _categories(findings)
+        assert ("cookie", "leaked-region") in _categories(findings)
 
     def test_board_read_without_barrier(self):
         class RacyBoard:
@@ -216,7 +218,7 @@ class TestSeededBadSchedules:
                               coll_factory=RacyBoard)
         findings, _ = verify_model(model)
         cats = _categories(findings)
-        assert ("schedule", "board-unsynchronized") in cats \
+        assert ("board", "board-unsynchronized") in cats \
             or ("symcomm", "extraction-error") in cats
 
     def test_direction_contract_enforced(self):
@@ -246,5 +248,5 @@ class TestSeededBadSchedules:
 
         model = extract_model("basic", "bcast", "zoot", 3, nbytes=8 * KiB,
                               coll_factory=WritableBcast)
-        findings, _ = verify_model(model, direction="read")
-        assert ("schedule", "direction-mismatch") in _categories(findings)
+        findings, _ = verify_model(model, direction=DirectionSpec("read"))
+        assert ("direction", "over-permissive-region") in _categories(findings)

@@ -158,19 +158,17 @@ class TestTransport:
                 sweep(service=handle.address, machine="nehalem")
 
     def test_service_events_feed_the_trace_model(self, serial):
-        from repro.analysis.model import TraceModel
-
         with start_in_thread(jobs=1) as handle:
             sweep(service=handle.address)           # populate the cache
             again = sweep(service=handle.address)   # all cache hits
-        model = TraceModel(nprocs=1).ingest(again.stats.events)
-        kinds = [ev.kind for ev in model.service_events]
-        assert kinds.count("request") == 1
-        assert kinds.count("cache_hit") == N_CELLS
-        hit = next(ev for ev in model.service_events
-                   if ev.kind == "cache_hit")
-        assert hit.cell in {f"{s.name}|{size}" for s in GRID["stacks"]
-                            for size in GRID["sizes"]}
+        kinds = [ev.category for ev in again.stats.events]
+        assert kinds.count("service.request") == 1
+        assert kinds.count("service.cache_hit") == N_CELLS
+        hit = next(ev for ev in again.stats.events
+                   if ev.category == "service.cache_hit")
+        assert hit.fields["cell"] in {f"{s.name}|{size}"
+                                      for s in GRID["stacks"]
+                                      for size in GRID["sizes"]}
 
     def test_connecting_to_a_dead_server_raises_typed(self, serial):
         with start_in_thread(jobs=1) as handle:
