@@ -13,7 +13,9 @@ paper uses (IMB-3.2, Section VI-A):
   benchmark (Section VI-E).
 
 Buffers are unbacked (timing-only): IMB does not validate payloads, and
-skipping the real byte movement keeps large sweeps fast.
+skipping the real byte movement keeps large sweeps fast.  The transports'
+staging memory follows the payload, so an unbacked cell also allocates no
+bytes for its FIFO segments and collective temps.
 """
 
 from __future__ import annotations

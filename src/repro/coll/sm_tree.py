@@ -76,7 +76,8 @@ class SmTreeColl(BaseColl):
         if v == 0:
             temp = recvbuf
         else:
-            temp = ctx.proc.alloc(len(mine) * count, label="smtree-tmp")
+            temp = ctx.proc.alloc(len(mine) * count, label="smtree-tmp",
+                                  backed=sendbuf.backed)
         index = {vr: i for i, vr in enumerate(sorted(mine))}
         slot = (lambda vr: rank_of(vr, root, size) * count) if v == 0 else (
             lambda vr: index[vr] * count)
@@ -86,7 +87,8 @@ class SmTreeColl(BaseColl):
             # Children send their subtree in their own sorted-vrank order;
             # receive piecewise into the right slots.
             child_temp = ctx.proc.alloc(len(child_vrs) * count,
-                                        label="smtree-rx")
+                                        label="smtree-rx",
+                                        backed=sendbuf.backed)
             yield from ctx.recv(rank_of(child, root, size), child_temp, 0,
                                 len(child_vrs) * count)
             for i, vr in enumerate(child_vrs):

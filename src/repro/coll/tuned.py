@@ -108,7 +108,8 @@ class TunedColl(BaseColl):
         if v == 0 and root == 0 and recvbuf is not None:
             temp, base = recvbuf, 0  # vrank order == rank order: gather in place
         else:
-            temp = ctx.proc.alloc(sub * count, label="gather-tmp")
+            temp = ctx.proc.alloc(sub * count, label="gather-tmp",
+                                  backed=sendbuf.backed)
             base = 0
         yield from self._local_copy(ctx, sendbuf, 0, temp, base, count)
         # Children deliver smallest-subtree-first order irrelevant: irecv all.
@@ -154,7 +155,8 @@ class TunedColl(BaseColl):
             if root == 0:
                 temp, base = sendbuf, 0
             else:
-                temp = ctx.proc.alloc(size * count, label="scatter-tmp")
+                temp = ctx.proc.alloc(size * count, label="scatter-tmp",
+                                      backed=sendbuf.backed)
                 base = 0
                 for vr in range(size):  # shuffle into vrank order
                     yield from self._local_copy(
@@ -162,7 +164,8 @@ class TunedColl(BaseColl):
                         temp, vr * count, count,
                     )
         else:
-            temp = ctx.proc.alloc(sub * count, label="scatter-tmp")
+            temp = ctx.proc.alloc(sub * count, label="scatter-tmp",
+                                  backed=recvbuf.backed)
             base = 0
             yield from ctx.recv(rank_of(parent, root, size), temp, base,
                                 sub * count)

@@ -74,6 +74,16 @@ class SimBuffer:
     def backed(self) -> bool:
         return self.data is not None
 
+    def back(self) -> None:
+        """Give an unbacked buffer zero-filled bytes (no-op when backed).
+
+        Staging buffers (FIFO segments) start unbacked and are backed the
+        first time a backed payload passes through them.  Backing only
+        decides whether copies move real bytes; it never changes timing.
+        """
+        if self.data is None:
+            self.array = self.data = np.zeros(self.size, dtype=np.uint8)
+
     def check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise SimulationError(
@@ -207,9 +217,10 @@ class MemorySystem:
         """Allocate a buffer homed on ``domain`` (first-touch is the caller)."""
         if not 0 <= domain < self.spec.n_domains:
             raise HardwareConfigError(f"domain {domain} out of range")
-        if array is None and backed:
-            array = np.zeros(size, dtype=np.uint8)
-        return SimBuffer(size, domain, array=array, label=label)
+        buf = SimBuffer(size, domain, array=array, label=label)
+        if backed:
+            buf.back()
+        return buf
 
     # -- routing -------------------------------------------------------------
     def route(self, src_domain: int, dst_domain: int) -> list[tuple[int, int]]:

@@ -9,10 +9,13 @@ Two distinct uses, matching the two roles shared memory plays in the paper:
    channel for synchronization or delivering cookies" (Section V-A).
 
 2. **FIFO segments** are the pre-allocated exchange zones of the
-   copy-in/copy-out transport (Open MPI SM BTL / MPICH2 Nemesis).  They are
-   real :class:`~repro.hardware.memory.SimBuffer` objects, so copies through
-   them consume memory bandwidth twice and pollute caches — the effect the
-   paper identifies as the core drawback of the double-copy approach.
+   copy-in/copy-out transport (Open MPI SM BTL / MPICH2 Nemesis).  Each is
+   a :class:`~repro.hardware.memory.SimBuffer` homed on a memory domain, so
+   copies through it consume memory bandwidth twice and pollute caches —
+   the effect the paper identifies as the core drawback of the double-copy
+   approach.  A segment gets real bytes only when a backed payload first
+   passes through it; timing-only traffic never allocates them, and
+   backing never changes a simulated time.
 """
 
 from __future__ import annotations
@@ -111,11 +114,13 @@ class Mailbox:
 class FifoSegment:
     """A ring of fixed-size fragments shared by one sender-receiver pair.
 
-    The segment's backing buffer is homed on the **receiver's** memory
-    domain (Open MPI's SM BTL maps per-receiver FIFOs, first-touched by the
-    receiver).  Slot bookkeeping is a semaphore: the sender acquires a free
-    slot, copies a fragment in, and hands the slot index to the receiver's
-    mailbox; the receiver copies out and releases the slot.
+    The segment's buffer is homed on the **receiver's** memory domain
+    (Open MPI's SM BTL maps per-receiver FIFOs, first-touched by the
+    receiver).  It starts unbacked; the PML backs it (``SimBuffer.back``)
+    before the first fragment of a backed message.  Slot bookkeeping is a
+    semaphore: the sender acquires a free slot, copies a fragment in, and
+    hands the slot index to the receiver's mailbox; the receiver copies out
+    and releases the slot.
     """
 
     def __init__(
@@ -143,7 +148,7 @@ class FifoSegment:
         self.n_slots = n_slots
         domain = spec.core_domain(receiver_core)
         self.buffer: SimBuffer = mem.alloc(
-            fragment_size * n_slots, domain, label=name, backed=True
+            fragment_size * n_slots, domain, label=name, backed=False
         )
         self.free_slots = Channel(mem.sim, name=f"{name}:free")
         for slot in range(n_slots):

@@ -272,6 +272,8 @@ class PmlEndpoint:
             fin = self.sim.event(name=f"fin:{env.seq}")
             self._fin_waiters[env.seq] = fin
             yield from self._post_ordered(ticket, peer, env)
+            if buf.backed:
+                fifo.buffer.back()
             done = 0
             while done < nbytes:
                 frag = min(self.stack.fifo_fragment, nbytes - done)

@@ -139,11 +139,16 @@ class Process(Event):
 
     def _finish_ok(self, value: Any) -> None:
         self.sim._live_processes.pop(id(self), None)
+        # A finished process never re-arms; dropping the bound method
+        # breaks its self-cycle so reference counting frees the process
+        # (a callback already queued holds its own reference).
+        self._resume_cb = None
         self.succeed(value)
         self._fire_death()
 
     def _finish_fail(self, exc: BaseException) -> None:
         self.sim._live_processes.pop(id(self), None)
+        self._resume_cb = None
         self.fail(exc)
         self._fire_death()
 

@@ -1,5 +1,7 @@
 """IMB harness semantics: iteration scaling, off-cache, op registry."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bench.imb import OPS, ImbSettings, imb_time, iterations_for
@@ -49,3 +51,17 @@ class TestOffCache:
         t1 = imb_time("zoot", stacks.TUNED_SM, 16, "bcast", 64 * KiB, s)
         t2 = imb_time("zoot", stacks.TUNED_SM, 16, "bcast", 1 * MiB, s)
         assert t2 > 5 * t1
+
+
+class TestTimingOnlyFootprint:
+    def test_unbacked_cell_does_not_back_staging_memory(self):
+        """Saturn AlltoAllv over Tuned-SM opens 240 per-pair FIFOs (256 KiB
+        each); with unbacked IMB buffers none of them gets bytes."""
+        tracemalloc.start()
+        try:
+            imb_time("saturn", stacks.TUNED_SM, 16, "alltoallv", 32 * KiB,
+                     ImbSettings(max_iterations=1, warmups=0))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * MiB

@@ -1,0 +1,45 @@
+"""The committed ``results/*.csv`` agree with what the model computes now.
+
+Recomputes the two smallest message sizes (32 KiB and 128 KiB) of every
+stack in the zoot/dancer/saturn Figure 5-8 and scatter CSVs at bench scale
+and compares the ``%.9f`` seconds string by string.  A model change that
+moves a simulated time must regenerate the CSVs in the same change:
+
+    python -m repro.bench all --scale bench --csv --jobs 2
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from repro.bench.experiments import MACHINE_RANKS
+from repro.bench.imb import ImbSettings, imb_time
+from repro.mpi import stacks
+from repro.units import KiB
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+OPERATIONS = {"fig5": "bcast", "fig6": "gather", "scatter": "scatter",
+              "fig7": "alltoallv", "fig8": "allgather"}
+MACHINES = ("zoot", "dancer", "saturn")
+SIZES = {32 * KiB, 128 * KiB}
+BENCH = ImbSettings(max_iterations=1, warmups=0)
+STACKS = {stack.name: stack for stack in stacks.PAPER_STACKS}
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+@pytest.mark.parametrize("experiment", sorted(OPERATIONS))
+def test_committed_seconds_match_the_model(experiment, machine):
+    with open(RESULTS / f"{experiment}_{machine}.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh)
+                if int(row["msg_bytes"]) in SIZES]
+    assert {row["series"] for row in rows} == set(STACKS)
+    assert len(rows) == len(STACKS) * len(SIZES)
+    stale = []
+    for row in rows:
+        size = int(row["msg_bytes"])
+        t = imb_time(machine, STACKS[row["series"]], MACHINE_RANKS[machine],
+                     OPERATIONS[experiment], size, BENCH)
+        if f"{t:.9f}" != row["seconds"]:
+            stale.append((row["series"], size, row["seconds"], f"{t:.9f}"))
+    assert not stale, f"stale rows (series, bytes, committed, model): {stale}"

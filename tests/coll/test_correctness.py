@@ -8,6 +8,7 @@ delegation threshold (sizes below/above KNEM-Coll's 16 KB switch-point).
 import numpy as np
 import pytest
 
+from repro.hardware.memory import MemorySystem
 from repro.mpi import Job, Machine, stacks
 from repro.units import KiB
 
@@ -419,3 +420,40 @@ def test_knem_coll_full_machine(machine, nprocs):
 
     job = Job(Machine.build(machine), nprocs=nprocs, stack=stacks.KNEM_COLL)
     assert all(job.run(program).values)
+
+
+@pytest.mark.parametrize("stack,op,temps", [
+    (stacks.TUNED_SM, "gather", {"gather-tmp"}),
+    (stacks.TUNED_SM, "scatter", {"scatter-tmp"}),
+    (stacks.SM_TREE, "gather", {"smtree-tmp", "smtree-rx"}),
+], ids=["tuned-gather", "tuned-scatter", "smtree-gather"])
+def test_unbacked_payload_allocates_no_backed_temp(monkeypatch, stack, op,
+                                                   temps):
+    """Timing-only payloads stay timing-only through collective temps (the
+    backed data path is covered by the tests above)."""
+    allocated = []
+    alloc = MemorySystem.alloc
+
+    def recording_alloc(self, *args, **kwargs):
+        buf = alloc(self, *args, **kwargs)
+        allocated.append(buf)
+        return buf
+
+    monkeypatch.setattr(MemorySystem, "alloc", recording_alloc)
+    count = 4 * KiB  # binomial range of the tuned gather/scatter
+
+    def program(proc):
+        size = proc.comm.size
+        if op == "gather":
+            send = proc.alloc(count, backed=False)
+            recv = (proc.alloc(count * size, backed=False)
+                    if proc.rank == 3 else None)
+        else:
+            send = (proc.alloc(count * size, backed=False)
+                    if proc.rank == 3 else None)
+            recv = proc.alloc(count, backed=False)
+        yield from getattr(proc.comm, op)(send, recv, count, root=3)
+
+    run(program, stack=stack)
+    assert temps <= {buf.label for buf in allocated}
+    assert not [buf.label for buf in allocated if buf.backed]

@@ -175,3 +175,41 @@ class TestEndpointState:
 
         _, res = run2(program)
         assert res.values == [1, 1]
+
+
+class TestFifoBacking:
+    """The per-pair FIFO is backed only once a backed payload enters it."""
+
+    N = 96 * KiB  # above the eager limit: SM rendezvous through the FIFO
+
+    def test_unbacked_send_leaves_fifo_unbacked(self):
+        def program(proc):
+            buf = proc.alloc(self.N, backed=False)
+            if proc.rank == 0:
+                yield from proc.comm.send(1, buf, 0, self.N)
+            else:
+                yield from proc.comm.recv(0, buf, 0, self.N)
+
+        m, _ = run2(program, stack=stacks.TUNED_SM)
+        (fifo,) = m.shm._fifos.values()
+        assert not fifo.buffer.backed
+
+    def test_backed_message_after_unbacked_one_delivers_exact_bytes(self):
+        data = ((np.arange(self.N) * 7 + 3) % 251).astype(np.uint8)
+
+        def program(proc):
+            timing = proc.alloc(self.N, backed=False)
+            buf = proc.alloc_array(self.N, "u1")
+            if proc.rank == 0:
+                buf.array[:] = data
+                yield from proc.comm.send(1, timing, 0, self.N)
+                yield from proc.comm.send(1, buf.sim, 0, self.N)
+                return None
+            yield from proc.comm.recv(0, timing, 0, self.N)
+            yield from proc.comm.recv(0, buf.sim, 0, self.N)
+            return np.array_equal(buf.array, data)
+
+        m, res = run2(program, stack=stacks.TUNED_SM)
+        assert res.values[1]
+        (fifo,) = m.shm._fifos.values()
+        assert fifo.buffer.backed

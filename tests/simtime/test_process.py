@@ -1,10 +1,12 @@
 """Process semantics: yielding, return values, exceptions, composition."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.simtime import AllOf, AnyOf, Simulator
-from repro.simtime.process import Interrupted
+from repro.simtime.process import Interrupted, Process
 
 
 class TestProcess:
@@ -144,6 +146,31 @@ class TestProcess:
         sim.run()
         with pytest.raises(SimulationError):
             p.interrupt()
+
+    def test_finished_processes_are_not_garbage_cycles(self):
+        """Reference counting alone frees a finished process; nothing is
+        left for the cyclic collector."""
+        def body(sim):
+            yield sim.timeout(1.0)
+
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sim = Simulator()
+            for _ in range(1000):
+                sim.process(body(sim))
+            sim.run()
+            del sim
+            gc.collect()
+            leaked = sum(isinstance(obj, Process) for obj in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert leaked == 0
 
 
 class TestComposites:
