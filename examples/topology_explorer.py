@@ -10,8 +10,6 @@ Run:  python examples/topology_explorer.py [machine]
 
 import sys
 
-import numpy as np
-
 from repro.hardware.machines import MACHINES, get_machine
 from repro.topology.distance import DistanceMatrix, group_by_domain
 from repro.topology.objects import Topology
@@ -34,8 +32,8 @@ def explore(name: str) -> None:
 
     dist = DistanceMatrix(topo)
     print("\ncore distance matrix (0=self ... 5=cross-board):")
-    with np.printoptions(linewidth=200):
-        print(dist.matrix)
+    for row in dist.matrix:
+        print(" ".join(map(str, row)))
 
     groups = group_by_domain(spec, list(range(spec.n_cores)))
     print("\nNUMA sets (the per-domain groups of Figure 1):")

@@ -28,6 +28,7 @@ from repro.bench.experiments import (
     PAPER_EXPECTATIONS,
     table1,
 )
+from repro.bench.harness import profile_dir, verify_journal
 from repro.bench.report import render_table1
 
 __all__ = ["main"]
@@ -185,8 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.experiment is not None:
             parser.error("--verify-journal inspects a file; "
                          "do not also name an experiment")
-        from repro.bench.harness import verify_journal
-
         report = verify_journal(args.verify_journal)
         print(report.render())
         return EXIT_OK if report.ok else EXIT_JOURNAL_DAMAGED
@@ -196,15 +195,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile is not None:
         import os
 
-        from repro.bench import harness
-
         os.makedirs(args.profile, exist_ok=True)
-        harness.set_profile_dir(args.profile)
         if args.jobs != 1:
             print("[profile] forcing --jobs 1 (per-cell profiles need "
                   "in-process cells)", file=sys.stderr)
             args.jobs = 1
+    with profile_dir(args.profile):
+        return _run(args, parser)
 
+
+def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run the experiment (or ``table1``/``all``) named on the command line."""
     if args.experiment == "table1":
         if args.resume:
             parser.error("--resume applies to sweep experiments, not table1")

@@ -36,8 +36,8 @@ from repro.units import fmt_size, fmt_time
 
 __all__ = ["Series", "ExperimentResult", "SweepStats", "JournalReport",
            "JournalLease", "run_sweep", "results_dir", "checkpoint_path",
-           "verify_journal", "set_journal_wrapper", "journal_wrapper",
-           "set_profile_dir", "profile_dir", "acquire_journal_lease"]
+           "verify_journal", "journal_wrapper", "profile_dir",
+           "acquire_journal_lease"]
 
 
 def results_dir() -> str:
@@ -297,21 +297,15 @@ _JOURNAL_WRAPPER: ContextVar[Optional[Callable[[IO[str]], IO[str]]]] = \
     ContextVar("repro_journal_wrapper", default=None)
 
 
-def set_journal_wrapper(fn: Optional[Callable[[IO[str]], IO[str]]]) -> None:
-    """Install (or clear, with ``None``) the journal file wrapper hook.
-
-    Prefer the :func:`journal_wrapper` context manager — it restores the
-    previous hook even when the sweep inside it dies, which is what keeps
-    a crashed chaos run from leaving the wrapper armed for the next
-    sweep in the same process.
-    """
-    _JOURNAL_WRAPPER.set(fn)
-
-
 @contextlib.contextmanager
 def journal_wrapper(
         fn: Optional[Callable[[IO[str]], IO[str]]]) -> Iterator[None]:
-    """Scope the journal wrapper hook to a ``with`` block (crash-safe)."""
+    """Scope the journal wrapper hook to a ``with`` block.
+
+    The previous hook is restored even when the sweep inside dies, so a
+    crashed chaos run never leaves the wrapper armed for the next sweep
+    in the same process.
+    """
     token = _JOURNAL_WRAPPER.set(fn)
     try:
         yield
@@ -327,11 +321,6 @@ def journal_wrapper(
 #: Context-scoped like the journal wrapper, and for the same reason.
 _PROFILE_DIR: ContextVar[Optional[str]] = \
     ContextVar("repro_profile_dir", default=None)
-
-
-def set_profile_dir(path: Optional[str]) -> None:
-    """Install (or clear, with ``None``) the per-cell profile directory."""
-    _PROFILE_DIR.set(path)
 
 
 @contextlib.contextmanager

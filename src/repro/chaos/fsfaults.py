@@ -7,7 +7,7 @@ write** — part of one record reaches the file and then the write errors,
 leaving a torn final line exactly like a crash mid-append.
 
 A :class:`FaultyFile` wraps the append-mode journal handle (installed via
-:func:`repro.bench.harness.set_journal_wrapper`) and injects one such
+:func:`repro.bench.harness.journal_wrapper`) and injects one such
 fault after a configured number of successful appends.  The contract the
 campaigns verify: the sweep *degrades to no-journaling* (the run still
 completes and stays correct; only resumability of later cells is lost),

@@ -14,18 +14,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from repro.errors import CollectiveError
 from repro.hardware.memory import SimBuffer
 from repro.mpi.communicator import CollCtx
 
-#: Reduction operators (numpy ufuncs applied element-wise).
-REDUCE_OPS: dict[str, Callable] = {
-    "sum": np.add,
-    "prod": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
+#: Reduction operators: the numpy ufunc (by name) applied element-wise.
+REDUCE_OPS: dict[str, str] = {
+    "sum": "add",
+    "prod": "multiply",
+    "min": "minimum",
+    "max": "maximum",
 }
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,11 +167,13 @@ class BaseColl:
         """Binomial-tree reduction (an extension beyond the paper's five
         operations; KNEM-Coll inherits it unchanged — reductions are among
         the "unimplemented collective calls" the paper delegates)."""
+        import numpy as np
+
         from repro.coll.algorithms import (binomial_children, binomial_parent,
                                            rank_of, vrank_of)
 
         try:
-            combine = REDUCE_OPS[op]
+            combine = getattr(np, REDUCE_OPS[op])
         except KeyError:
             raise CollectiveError(
                 f"unknown reduce op {op!r}; available: {sorted(REDUCE_OPS)}"

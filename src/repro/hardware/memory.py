@@ -20,10 +20,8 @@ completion time, so collectives built on this layer are data-checkable.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
-
-import networkx as nx
-import numpy as np
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import HardwareConfigError, RoutingError, SimulationError
 from repro.hardware.cache import CacheSystem
@@ -31,6 +29,9 @@ from repro.hardware.flows import FlowNetwork, Resource
 from repro.hardware.spec import MachineSpec
 from repro.simtime.core import Event, Simulator
 from repro.simtime.trace import Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["SimBuffer", "CopyRequest", "MemorySystem"]
 
@@ -40,7 +41,8 @@ class SimBuffer:
 
     ``array`` (optional) is a contiguous numpy array backing the buffer; the
     memory system moves real bytes through it on copy completion.  Unbacked
-    buffers participate in timing only (used for huge calibrated app runs).
+    buffers participate in timing only (IMB cells, huge calibrated app
+    runs) and never import numpy.
     """
 
     _ids = itertools.count(1)
@@ -67,7 +69,7 @@ class SimBuffer:
         self.size = size
         self.domain = domain
         self.array = array
-        self.data = array.view(np.uint8).reshape(-1) if array is not None else None
+        self.data = array.view("u1").reshape(-1) if array is not None else None
         self.label = label or f"buf{self.id}"
 
     @property
@@ -82,6 +84,8 @@ class SimBuffer:
         decides whether copies move real bytes; it never changes timing.
         """
         if self.data is None:
+            import numpy as np
+
             self.array = self.data = np.zeros(self.size, dtype=np.uint8)
 
     def check_range(self, offset: int, nbytes: int) -> None:
@@ -121,6 +125,60 @@ _ROUTE_CACHE: dict[
 ] = {}
 
 
+def _shortest_path(adj: dict[int, dict[int, float]], source: int,
+                   target: int) -> Optional[list[int]]:
+    """Least-weight node path from ``source`` to ``target`` (None if none).
+
+    Bidirectional Dijkstra in the exact search order of networkx's
+    ``bidirectional_dijkstra`` (alternating sides, one insertion counter
+    breaking heap ties, adjacency in insertion order), so equal-cost
+    routes resolve to the path ``nx.shortest_path(..., weight=...)``
+    picks.  On IG that choice is not lexicographic (0->7 goes via 4, 3->4
+    via 7), and the route decides which links a copy loads.
+    """
+    if source == target:
+        return [source]
+    dists: tuple[dict, dict] = ({}, {})
+    preds: tuple[dict, dict] = ({source: None}, {target: None})
+    seen: tuple[dict, dict] = ({source: 0}, {target: 0})
+    counter = itertools.count()
+    fringe: tuple[list, list] = ([(0, next(counter), source)],
+                                 [(0, next(counter), target)])
+    best: Optional[float] = None
+    meet = None
+    side = 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, v = heappop(fringe[side])
+        if v in dists[side]:
+            continue
+        dists[side][v] = dist
+        if v in dists[1 - side]:
+            path, node = [], meet
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meet]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path
+        for w, cost in adj[v].items():
+            length = dist + cost
+            if w in dists[side]:
+                continue
+            if w not in seen[side] or length < seen[side][w]:
+                seen[side][w] = length
+                heappush(fringe[side], (length, next(counter), w))
+                preds[side][w] = v
+                if w in seen[1 - side]:
+                    total = length + seen[1 - side][w]
+                    if best is None or best > total:
+                        best, meet = total, w
+    return None
+
+
 def _route_tables(spec: MachineSpec) -> tuple[
     dict[tuple[int, int], list[tuple[int, int]]],
     dict[tuple[int, int], float],
@@ -129,24 +187,19 @@ def _route_tables(spec: MachineSpec) -> tuple[
     cached = _ROUTE_CACHE.get(spec)
     if cached is not None:
         return cached
-    graph = nx.Graph()
-    graph.add_nodes_from(range(spec.n_domains))
+    adj: dict[int, dict[int, float]] = {d: {} for d in range(spec.n_domains)}
     link_latency: dict[tuple[int, int], float] = {}
     for link in spec.links:
         link_latency[link.key] = link.latency
         # Prefer few hops, then fat pipes, deterministically.
-        graph.add_edge(link.a, link.b, weight=1.0 + 1e-12 / link.bandwidth)
+        weight = 1.0 + 1e-12 / link.bandwidth
+        adj[link.a][link.b] = adj[link.b][link.a] = weight
     routes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a in range(spec.n_domains):
         for b in range(spec.n_domains):
-            if a == b:
-                routes[(a, b)] = []
-                continue
-            try:
-                path = nx.shortest_path(graph, a, b, weight="weight")
-            except nx.NetworkXNoPath:
-                raise RoutingError(
-                    f"no link path between domains {a} and {b}") from None
+            path = _shortest_path(adj, a, b)
+            if path is None:
+                raise RoutingError(f"no link path between domains {a} and {b}")
             routes[(a, b)] = [
                 (min(u, v), max(u, v)) for u, v in zip(path, path[1:])
             ]

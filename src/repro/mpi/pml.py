@@ -30,8 +30,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import (
     FaultInjected,
     MpiError,
@@ -478,6 +476,8 @@ class PmlEndpoint:
             elif env.carrier is None:
                 if (posted.buf is not None and posted.buf.backed
                         and env.payload is not None):
+                    import numpy as np
+
                     posted.buf.data[posted.offset: posted.offset + env.nbytes] = \
                         np.frombuffer(env.payload, dtype=np.uint8)
             else:

@@ -17,9 +17,7 @@ A program is a function ``program(proc, *args)`` returning a generator::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro.errors import (
     DeadlockError,
@@ -44,6 +42,9 @@ from repro.simtime.trace import Tracer
 from repro.topology.binding import bind_ranks
 from repro.topology.distance import DistanceMatrix
 from repro.topology.objects import Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Machine", "Proc", "World", "Job", "JobResult", "ArrayBuffer"]
 
@@ -152,6 +153,8 @@ class Proc:
     def alloc_array(self, count: int, dtype: Any = "u1",
                     label: str = "") -> ArrayBuffer:
         """Allocate a typed numpy array homed on this process's domain."""
+        import numpy as np
+
         array = np.zeros(count, dtype=dtype)
         buf = self.machine.mem.alloc(
             array.nbytes, self.domain, label=label or f"r{self.rank}", array=array
@@ -166,6 +169,8 @@ class Proc:
         ranks) would alias address spaces that are distinct on the real
         machine.
         """
+        import numpy as np
+
         owned = np.array(array, order="C", copy=True)
         buf = self.machine.mem.alloc(
             owned.nbytes, self.domain, label=label or f"r{self.rank}",

@@ -22,11 +22,27 @@ Components (scheduler / store / transport are deliberately separable):
   concurrent clients and deduping in-flight cells.
 - :mod:`repro.service.client` — the blocking client used by
   :func:`repro.bench.harness.run_sweep`'s ``service=`` path.
+
+The exports below resolve on first use (PEP 562), so a client or a
+harness import does not load the asyncio server.
 """
 
-from repro.service.client import CellResult, ServiceClient
-from repro.service.protocol import cache_key
-from repro.service.server import ServerHandle, SweepServer, serve
+import importlib
 
-__all__ = ["CellResult", "ServiceClient", "ServerHandle", "SweepServer",
-           "cache_key", "serve"]
+_EXPORTS = {
+    "CellResult": "repro.service.client",
+    "ServiceClient": "repro.service.client",
+    "cache_key": "repro.service.protocol",
+    "ServerHandle": "repro.service.server",
+    "SweepServer": "repro.service.server",
+    "serve": "repro.service.server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -19,8 +19,6 @@ pick leaders close to the data.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hardware.spec import MachineSpec
 from repro.topology.objects import Topology
 
@@ -32,7 +30,11 @@ _DISTANCE_CACHE: dict[MachineSpec, "DistanceMatrix"] = {}
 
 
 class DistanceMatrix:
-    """Pairwise distance lookup with a precomputed numpy matrix."""
+    """Pairwise distance lookup with a precomputed matrix.
+
+    ``matrix`` is a tuple of per-core row tuples, immutable so that the
+    memoized instance can be shared safely.
+    """
 
     @classmethod
     def for_spec(cls, spec: MachineSpec) -> "DistanceMatrix":
@@ -40,8 +42,7 @@ class DistanceMatrix:
 
         The O(n_cores²) common-ancestor walk dominates Machine construction
         on IG (48 cores); the result depends only on the frozen spec, so
-        repeated sweep cells share one matrix (marked read-only to keep the
-        sharing safe).
+        repeated sweep cells share one (immutable) matrix.
         """
         dm = _DISTANCE_CACHE.get(spec)
         if dm is None:
@@ -52,12 +53,11 @@ class DistanceMatrix:
         self.topology = topology
         spec = topology.spec
         n = spec.n_cores
-        m = np.zeros((n, n), dtype=np.int8)
+        rows = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
-                m[a, b] = m[b, a] = self._distance(spec, topology, a, b)
-        m.flags.writeable = False
-        self.matrix = m
+                rows[a][b] = rows[b][a] = self._distance(spec, topology, a, b)
+        self.matrix: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
 
     @staticmethod
     def _distance(spec: MachineSpec, topo: Topology, a: int, b: int) -> int:
@@ -78,13 +78,14 @@ class DistanceMatrix:
         return 5
 
     def __call__(self, a: int, b: int) -> int:
-        return int(self.matrix[a, b])
+        return self.matrix[a][b]
 
     def nearest(self, core: int, candidates: list[int]) -> int:
         """The candidate closest to ``core`` (ties broken by index)."""
         if not candidates:
             raise ValueError("nearest() with no candidates")
-        return min(candidates, key=lambda c: (self.matrix[core, c], c))
+        row = self.matrix[core]
+        return min(candidates, key=lambda c: (row[c], c))
 
 
 def group_by_domain(spec: MachineSpec, cores: list[int]) -> dict[int, list[int]]:
