@@ -13,9 +13,7 @@ deadlocks or raises — that is exactly when the checkers are most useful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 # Importing the checker modules registers them.
 import repro.analysis.checkers  # noqa: F401
@@ -27,6 +25,9 @@ from repro.errors import CollectiveError, DeadlockError, ReproError
 from repro.mpi.runtime import Job, Machine, Proc
 from repro.mpi.stacks import KNEM_COLL, MPICH2_KNEM, TUNED_KNEM, Stack
 from repro.units import KiB
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["AlgoSpec", "ALGOS", "algo_names", "run_analysis"]
 
@@ -57,11 +58,15 @@ def algo_names() -> list[str]:
 
 def _pattern(seed: int, nbytes: int) -> np.ndarray:
     """A deterministic, seed-dependent byte pattern."""
+    import numpy as np
+
     return ((np.arange(nbytes, dtype=np.uint64) * 31 + seed * 131) % 251
             ).astype(np.uint8)
 
 
 def _verify(proc: Proc, got: np.ndarray, want: np.ndarray, what: str) -> None:
+    import numpy as np
+
     if not np.array_equal(got, want):
         bad = int(np.flatnonzero(got != want)[0])
         raise CollectiveError(

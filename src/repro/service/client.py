@@ -117,8 +117,7 @@ class ServiceClient:
             "operation": operation,
             "nprocs": nprocs,
             "settings": protocol.encode_settings(settings),
-            "cells": [{"stack": protocol.encode_stack(stack), "size": size}
-                      for stack, size in cells],
+            **protocol.encode_cells(cells),
         }
         sock = self._connect()
         try:

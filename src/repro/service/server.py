@@ -7,7 +7,9 @@ answers from the :class:`~repro.service.store.ResultStore` (a cache
 hit), attaches to an already-in-flight computation of the same cache
 key (two clients asking for one cell cost one simulation), or submits a
 :class:`~repro.service.runner.ComputeJob` to the pool runner thread.
-Results stream back to each client in completion order — exactly the
+Every frame it can answer without computing — the cache hits, and
+``end`` when nothing is left to compute — goes out in one socket write;
+computed results then stream back in completion order — exactly the
 contract :func:`~repro.bench.executor.run_cells` gives the in-process
 parallel path, so the client journals them the same way.
 
@@ -52,6 +54,7 @@ class SweepServer:
         self.cells_served = 0
         self.cache_hits = 0
         self.dedup_hits = 0
+        self.writes = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -99,6 +102,7 @@ class SweepServer:
             "cells_served": self.cells_served,
             "cache_hits": self.cache_hits,
             "dedup_hits": self.dedup_hits,
+            "writes": self.writes,
             "cells_computed": self.runner.cells_computed,
             "pool_batches": self.runner.batches,
             "store": self.store.counters(),
@@ -161,18 +165,18 @@ class SweepServer:
                     frame = protocol.parse_frame(line)
                     op = frame["op"]
                     if op == "ping":
-                        await self._send(writer, {"op": "pong",
-                                                  "counters": self.counters()})
+                        await self._write(writer, [{
+                            "op": "pong", "counters": self.counters()}])
                     elif op == "sweep":
                         await self._handle_sweep(frame, writer)
                     else:
                         raise protocol.ProtocolError(f"unknown op {op!r}")
                 except (protocol.ProtocolError, BenchmarkError) as err:
                     self._log(f"request error: {err}")
-                    await self._send(writer, {
+                    await self._write(writer, [{
                         "op": "error", "id": frame.get("id")
                         if isinstance(frame, dict) else None,
-                        "message": str(err)})
+                        "message": str(err)}])
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-stream; nothing to unwind
         except asyncio.CancelledError:
@@ -185,37 +189,43 @@ class SweepServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _send(self, writer: asyncio.StreamWriter, frame: dict) -> None:
-        writer.write(protocol.format_frame(frame))
-        await writer.drain()
+    async def _write(self, writer: asyncio.StreamWriter,
+                     frames: list[dict]) -> None:
+        """One socket write (and drain) carrying ``frames``, if any."""
+        if frames:
+            self.writes += 1
+            writer.write(b"".join(map(protocol.format_frame, frames)))
+            await writer.drain()
 
     async def _handle_sweep(self, frame: dict,
                             writer: asyncio.StreamWriter) -> None:
         self.requests += 1
         req_id = frame.get("id")
-        machine = frame["machine"]
-        operation = frame["operation"]
-        nprocs = frame["nprocs"]
-        settings = protocol.decode_settings(frame["settings"])
+        try:
+            machine = frame["machine"]
+            operation = frame["operation"]
+            nprocs = frame["nprocs"]
+            settings = protocol.decode_settings(frame["settings"])
+        except KeyError as err:
+            raise protocol.ProtocolError(
+                f"sweep frame without {err}") from err
         ctx_token = protocol.context_fingerprint(
             machine, operation, nprocs, settings)
-        cells = frame["cells"]
+        stacks, cells = protocol.decode_cells(frame)
+        stack_tokens = [protocol.stack_fingerprint(s) for s in stacks]
         self._log(f"sweep #{self.requests}: {len(cells)} cell(s) of "
                   f"{operation} on {machine} x{nprocs}")
-        served = 0
         hits = 0
+        ready: list[dict] = []   # frames answerable now, sent in one write
         waits = []
-        for cell in cells:
-            stack = protocol.decode_stack(cell["stack"])
-            size = int(cell["size"])
+        for index, size in cells:
+            stack = stacks[index]
             label = f"{stack.name}|{size}"
-            key = protocol.cache_key(
-                machine, operation, nprocs, settings, stack, size)
+            key = protocol.cell_key(ctx_token, stack_tokens[index], size)
             state, value = self._lookup(key)
             if state == "hit":
-                served += 1
                 hits += 1
-                await self._send(writer, {
+                ready.append({
                     "op": "cell", "id": req_id, "key": label, "t": value,
                     "cached": True, "stats": None})
                 continue
@@ -237,28 +247,32 @@ class SweepServer:
         async def settle(label: str, fut: asyncio.Future):
             return label, await asyncio.shield(fut)
 
+        if waits:
+            # The hits go out before anything blocks on a computation.
+            await self._write(writer, ready)
+            ready = []
         for settled in asyncio.as_completed(
                 [settle(label, fut) for label, fut in waits]):
             label, outcome = await settled
-            served += 1
             if isinstance(outcome, tuple):
                 t, stats = outcome
-                await self._send(writer, {
+                await self._write(writer, [{
                     "op": "cell", "id": req_id, "key": label, "t": t,
                     "cached": False,
-                    "stats": protocol.encode_stats(stats)})
+                    "stats": protocol.encode_stats(stats)}])
             elif isinstance(outcome, CellAborted):
-                await self._send(writer, {
+                await self._write(writer, [{
                     "op": "abort", "id": req_id, "key": label,
-                    "deaths": outcome.deaths, "reason": outcome.reason})
+                    "deaths": outcome.deaths, "reason": outcome.reason}])
             else:
                 self._log(f"cell {label} failed: {outcome!r}")
-                await self._send(writer, {
+                await self._write(writer, [{
                     "op": "cell_error", "id": req_id, "key": label,
-                    "message": str(outcome)})
-        self.cells_served += served
-        await self._send(writer, {"op": "end", "id": req_id,
-                                  "cells": served, "cache_hits": hits})
+                    "message": str(outcome)}])
+        self.cells_served += len(cells)
+        ready.append({"op": "end", "id": req_id, "cells": len(cells),
+                      "cache_hits": hits})
+        await self._write(writer, ready)
 
 
 # -- embedding helpers -------------------------------------------------------

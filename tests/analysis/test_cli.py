@@ -1,5 +1,10 @@
 """The ``python -m repro.analysis`` entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import ALGOS, AlgoSpec, DirectionSpec
@@ -100,3 +105,17 @@ class TestVerifyCli:
     def test_lint_mode_clean_on_shipped_sources(self, capsys):
         assert main(["--lint"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
+
+    def test_lint_mode_runs_without_numpy(self):
+        # The lint reads sources and runs no schedule: it must not need
+        # the payload library (``--verify`` does, to extract reductions).
+        child = ("import runpy, sys\n"
+                 "sys.modules['numpy'] = None\n"
+                 "sys.argv = ['repro.analysis', '--lint']\n"
+                 "runpy.run_module('repro.analysis', run_name='__main__')\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "0 finding(s)" in out.stdout

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
@@ -13,6 +14,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.mpi import stacks
 from repro.service import protocol
 from repro.service.store import ResultStore
+from repro.units import KiB, MiB
 
 
 PLAN = FaultPlan([FaultRule(op="copy", probability=0.5, sticky=True)],
@@ -25,6 +27,29 @@ class TestRoundTrips:
         for stack in (stacks.TUNED_SM, stacks.KNEM_COLL):
             again = protocol.decode_stack(protocol.encode_stack(stack))
             assert again == stack
+
+    def test_stack_encoding_equals_asdict(self):
+        variant = stacks.KNEM_COLL.with_tuning(name="v", hierarchical=True)
+        for stack in (*stacks.ALL_STACKS, stacks.KNEM_COLL_STRICT, variant):
+            assert protocol.encode_stack(stack) == dataclasses.asdict(stack)
+
+    def test_cells_carry_each_stack_once(self):
+        cells = [(stacks.TUNED_SM, 4096), (stacks.KNEM_COLL, 4096),
+                 (stacks.TUNED_SM, 8192)]
+        encoded = protocol.encode_cells(cells)
+        assert encoded["cells"] == [[0, 4096], [1, 4096], [0, 8192]]
+        assert len(encoded["stacks"]) == 2
+        decoded, pairs = protocol.decode_cells(encoded)
+        assert [(decoded[i], size) for i, size in pairs] == cells
+
+    @pytest.mark.parametrize("cell", [[-1, 4096], [1, 4096], [0.0, 4096],
+                                      [True, 4096], ["0", 4096], [0, "4K"],
+                                      [0], {"stack": 0, "size": 4096}])
+    def test_bad_cells_raise_typed(self, cell):
+        frame = {"stacks": [protocol.encode_stack(stacks.TUNED_SM)],
+                 "cells": [cell]}
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_cells(frame)
 
     def test_settings_round_trip_includes_fault_plan(self):
         again = protocol.decode_settings(protocol.encode_settings(SETTINGS))
@@ -49,6 +74,13 @@ class TestRoundTrips:
     def test_malformed_payloads_raise_typed(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_stack({"name": "half-a-stack"})
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_stack({**protocol.encode_stack(stacks.TUNED_SM),
+                                   "inline_limit": -1})
+        bad_plan = protocol.encode_settings(SETTINGS)
+        bad_plan["fault_plan"]["rules"][0]["op"] = "no-such-op"
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_settings(bad_plan)
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_settings({"warmups": 0})
         with pytest.raises(protocol.ProtocolError):
@@ -81,6 +113,35 @@ class TestCacheKey:
         a = protocol.context_fingerprint(*self.CTX)
         b = protocol.context_fingerprint(*self.CTX)
         assert a == b
+
+
+BENCH = ImbSettings(max_iterations=1, warmups=0)
+STALLS = ImbSettings(max_iterations=3, warmups=1, fault_plan=FaultPlan(
+    [FaultRule(op="copy", probability=0.5, sticky=True),
+     FaultRule(op="rank.stall", core=3, delay=2e-06, at_time=1e-05)],
+    seed=99))
+SEG4K = stacks.KNEM_COLL.with_tuning(
+    name="KNEM-Coll-seg4K", pipeline_seg_intermediate=4 * KiB,
+    hierarchical=False)
+
+
+@pytest.mark.parametrize("cell, digest", [
+    (("dancer", "bcast", 8, BENCH, stacks.TUNED_SM, 32 * KiB),
+     "47ff4bb504718fbfa286988f238cae19"),
+    (("ig", "gather", 48, BENCH, stacks.KNEM_COLL, 2 * MiB),
+     "50bc4b77465fe261b2d6f22e2ca26a5a"),
+    (("zoot", "bcast", 16, BENCH, SEG4K, 128 * KiB),
+     "a0608d035bc4604ce3369d9823f17bad"),
+    (("saturn", "alltoallv", 16, STALLS, stacks.MPICH2_KNEM, 512 * KiB),
+     "70e582687a7c0b209cf3086c352ed4da"),
+    (("zoot", "scatter", 16, STALLS, stacks.KNEM_COLL_STRICT, 64 * KiB),
+     "9aef3a09701389f08a5015ca337fd4df"),
+    (("dancer", "allgather", 8, ImbSettings(), stacks.TUNED_KNEM, 4096),
+     "8a6cdd0af453d21f49986cb656b516fe"),
+])
+def test_cache_key_digests_are_pinned(cell, digest):
+    """Digests of existing cache journals: a changed byte turns them cold."""
+    assert protocol.cache_key(*cell) == digest
 
 
 class TestAddressAndFrames:
