@@ -36,6 +36,7 @@ import argparse
 import gc
 import json
 import os
+import platform
 import sys
 import time
 
@@ -160,7 +161,8 @@ def collect(grid: str, jobs: int) -> dict:
     return {
         "version": 4,
         "grid": grid,
-        "host": {"cpus": os.cpu_count() or 1, "platform": sys.platform},
+        "host": {"cpus": os.cpu_count() or 1, "platform": sys.platform,
+                 "python": platform.python_version()},
         "gc_paused_micro": True,
         "events_per_sec": round(bench_events(grid)["events_per_sec"], 1),
         "cells_per_sec": round(bench_cells(grid)["cells_per_sec"], 3),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from operator import attrgetter
 from typing import Optional
 
 from repro.errors import SimulationError
@@ -39,9 +40,9 @@ _EPS_BYTES = 0.25
 _EPS_RATE = 1e-3
 
 
-def _flow_id(f: "Flow") -> int:
-    """Sort key for deterministic flow iteration (creation order)."""
-    return f.id
+#: Sort key for deterministic flow iteration (creation order).
+_flow_id = attrgetter("id")
+_flow_demand = attrgetter("demand")
 
 
 def _insert_by_id(flows: list["Flow"], flow: "Flow") -> None:
@@ -127,7 +128,7 @@ class Flow:
     """
 
     __slots__ = ("id", "demand", "weights", "remaining", "rate", "event",
-                 "label", "streams", "terms")
+                 "label", "streams", "terms", "frozen")
 
     _ids = itertools.count(1)
 
@@ -149,6 +150,8 @@ class Flow:
         #: ``(resource, weight, streams)`` per traversed resource
         self.terms = tuple((r, w, self.streams.get(r, 1.0))
                            for r, w in weights.items())
+        #: scratch state of one filling pass: the rate is final
+        self.frozen = False
 
     def streams_on(self, res: Resource) -> float:
         return self.streams.get(res, 1.0)
@@ -318,18 +321,20 @@ class FlowNetwork:
             if ws > 1e-12:
                 live.append(r)
 
-        unfrozen = set(flows)
+        for f in flows:
+            f.frozen = False
+        n_unfrozen = len(flows)
         # All unfrozen flows carry the same uniform rate, so flows freeze on
         # their demand caps in ascending-demand order: a sorted sweep frees
         # whole batches per filling round instead of one flow at a time.
         # (Stable sort over the id-ordered list: demand ties break by id.)
-        by_demand = sorted(flows, key=lambda f: f.demand)
+        by_demand = sorted(flows, key=_flow_demand)
         n = len(by_demand)
         demand_ptr = 0
         rate = 0.0  # the uniform rate every unfrozen flow has received
-        while unfrozen:
+        while n_unfrozen:
             # Largest uniform rate increment every unfrozen flow can take.
-            while demand_ptr < n and by_demand[demand_ptr] not in unfrozen:
+            while demand_ptr < n and by_demand[demand_ptr].frozen:
                 demand_ptr += 1
             inc = (by_demand[demand_ptr].demand - rate
                    if demand_ptr < n else float("inf"))
@@ -342,46 +347,58 @@ class FlowNetwork:
             if inc < 0:
                 inc = 0.0
             rate += inc
-            frozen: set[Flow] = set()
+            frozen: list[Flow] = []
             # Demand-capped flows: ascending sweep from the pointer.
             while demand_ptr < n:
                 f = by_demand[demand_ptr]
-                if f not in unfrozen:
+                if f.frozen:
                     demand_ptr += 1
                     continue
                 if f.demand - rate > _EPS_RATE:
                     break
-                frozen.add(f)
+                f.frozen = True
+                frozen.append(f)
                 demand_ptr += 1
             # Residual update and flows on saturated resources, one pass.
             for r in live:
                 left = r._fill_left - inc * r._fill_wsum
                 r._fill_left = left
                 if left <= r.sat_threshold:
-                    frozen.update([f for f in r.flows if f in unfrozen])
+                    for f in r.flows:
+                        if not f.frozen:
+                            f.frozen = True
+                            frozen.append(f)
             if not frozen:
                 if bottleneck is None:
                     break  # all demand-capped; loop would have frozen them
-                frozen = {f for f in bottleneck.flows if f in unfrozen}
+                for f in bottleneck.flows:
+                    if not f.frozen:
+                        f.frozen = True
+                        frozen.append(f)
             # wsum decrements are float subtractions: fixed order again.
-            for f in sorted(frozen, key=_flow_id):
+            frozen.sort(key=_flow_id)
+            for f in frozen:
                 f.rate = rate
                 for r, w, _s in f.terms:
                     r._fill_wsum -= w
-            unfrozen -= frozen
+            n_unfrozen -= len(frozen)
             live = [r for r in live if r._fill_wsum > 1e-12]
-        for f in unfrozen:  # pragma: no cover - loop always drains
-            f.rate = rate
+        if n_unfrozen:  # pragma: no cover - loop always drains
+            for f in flows:
+                if not f.frozen:
+                    f.rate = rate
 
     def _schedule_wake(self) -> None:
         self._wake_generation += 1
         flows = self._flows
         if not flows:
             return
-        horizon = min(
-            (f.remaining / f.rate for f in flows if f.rate > 0),
-            default=None,
-        )
+        horizon = None
+        for f in flows:
+            if f.rate > 0:
+                h = f.remaining / f.rate
+                if horizon is None or h < horizon:
+                    horizon = h
         if horizon is None:
             raise SimulationError(
                 "flow network stalled: active flows but no positive rates"

@@ -169,6 +169,10 @@ class MachineSpec:
             raise HardwareConfigError("dirty_intervention_efficiency must be in [0, 1]")
         if not 0.0 <= self.intervention_writeback <= 1.0:
             raise HardwareConfigError("intervention_writeback must be in [0, 1]")
+        # Core -> memory domain, one entry per core.  Not a field: it is
+        # derived, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_core_domains", tuple(
+            d for d in self.socket_domain for _ in range(self.cores_per_socket)))
 
     # -- derived sizes -----------------------------------------------------
     @property
@@ -203,7 +207,8 @@ class MachineSpec:
         return core // self.cores_per_socket
 
     def core_domain(self, core: int) -> int:
-        return self.socket_domain[self.core_socket(core)]
+        self._check_core(core)
+        return self._core_domains[core]
 
     def core_board(self, core: int) -> int:
         return self.socket_board[self.core_socket(core)]
@@ -236,7 +241,7 @@ class MachineSpec:
         return tuple(self.cores_of_domain(self.core_domain(core)))
 
     def _check_core(self, core: int) -> None:
-        if not 0 <= core < self.n_cores:
+        if not 0 <= core < len(self._core_domains):
             raise HardwareConfigError(
                 f"core {core} out of range (machine has {self.n_cores})")
 

@@ -27,7 +27,7 @@ from repro.faults.plan import FaultPlan
 from repro.hardware.memory import MemorySystem, SimBuffer
 from repro.hardware.spec import MachineSpec
 from repro.kernel.costs import KernelCosts
-from repro.simtime.core import Event, Simulator
+from repro.simtime.core import Event, Simulator, Timeout
 from repro.simtime.primitives import Channel, Semaphore
 from repro.simtime.trace import Tracer
 from repro.units import NS
@@ -41,7 +41,9 @@ def mailbox_latency(spec: MachineSpec, core_a: int, core_b: int) -> float:
     Calibrated to era-typical core-to-core latencies: ~60 ns within a shared
     cache, ~120 ns across sockets in one coherence domain, plus the NUMA
     link latency when domains differ (doubled for the request/response pair
-    of a coherence miss).
+    of a coherence miss).  It depends only on the machine and the two
+    cores, so mailboxes read it from the spec's :func:`latency_table` and a
+    :class:`FifoSegment` computes it once.
     """
     if core_a == core_b:
         return 20 * NS
@@ -55,6 +57,23 @@ def mailbox_latency(spec: MachineSpec, core_a: int, core_b: int) -> float:
     return 120 * NS + 2 * hop * (1 + abs(spec.socket_board[sa] - spec.socket_board[sb]))
 
 
+#: MachineSpec -> {(sender core, owner core): mailbox latency}.  Keyed on
+#: the frozen spec like the topology memos, so an entry never goes stale.
+_LATENCY_TABLES: dict[MachineSpec, dict[tuple[int, int], float]] = {}
+
+
+def latency_table(spec: MachineSpec) -> dict[tuple[int, int], float]:
+    """The memo of :func:`mailbox_latency` for ``spec`` (filled lazily).
+
+    Hashing a spec costs microseconds, so a :class:`ShmWorld` looks its
+    table up once and hands it to every mailbox it creates.
+    """
+    table = _LATENCY_TABLES.get(spec)
+    if table is None:
+        table = _LATENCY_TABLES[spec] = {}
+    return table
+
+
 class Mailbox:
     """A small-message channel into one process (control traffic only).
 
@@ -65,8 +84,9 @@ class Mailbox:
     """
 
     def __init__(self, sim: Simulator, spec: MachineSpec, owner_core: int,
-                 costs: KernelCosts, name: str = "mbox",
-                 tracer: Optional[Tracer] = None):
+                 costs: KernelCosts,
+                 latencies: dict[tuple[int, int], float],
+                 name: str = "mbox", tracer: Optional[Tracer] = None):
         self.sim = sim
         self.spec = spec
         self.owner_core = owner_core
@@ -74,7 +94,20 @@ class Mailbox:
         self.name = name
         self.tracer = tracer or Tracer()
         self._channel = Channel(sim, name=name)
+        #: the spec's :func:`latency_table`
+        self._latencies = latencies
         self.posted = 0
+
+    def _latency_from(self, sender_core: int) -> float:
+        key = (sender_core, self.owner_core)
+        latency = self._latencies.get(key)
+        if latency is None:
+            latency = self._latencies[key] = mailbox_latency(
+                self.spec, sender_core, self.owner_core)
+        return latency
+
+    def _arrive(self, event: Event) -> None:
+        self._channel.put(event._value)
 
     def post(self, sender_core: int, payload: Any):
         """Sender-side deposit; generator (``yield from``), returns None."""
@@ -86,8 +119,9 @@ class Mailbox:
         else:
             tr.tick("shm.post")
         yield self.sim.timeout(self.costs.mailbox_write)
-        delay = mailbox_latency(self.spec, sender_core, self.owner_core)
-        self.sim.schedule(delay, lambda: self._channel.put(payload))
+        arrival = Timeout(self.sim, self._latency_from(sender_core), payload,
+                          name=self.name)
+        arrival.callbacks = [self._arrive]
 
     def post_nowait(self, sender_core: int, payload: Any) -> None:
         """Fire-and-forget variant for completion callbacks (no sender cost)."""
@@ -98,10 +132,9 @@ class Mailbox:
                     dst_core=self.owner_core)
         else:
             tr.tick("shm.post")
-        delay = self.costs.mailbox_write + mailbox_latency(
-            self.spec, sender_core, self.owner_core
-        )
-        self.sim.schedule(delay, lambda: self._channel.put(payload))
+        delay = self.costs.mailbox_write + self._latency_from(sender_core)
+        arrival = Timeout(self.sim, delay, payload, name=self.name)
+        arrival.callbacks = [self._arrive]
 
     def recv(self) -> Event:
         """Event yielding the next payload (FIFO order)."""
@@ -161,6 +194,9 @@ class FifoSegment:
         self.fault_plan: Optional[FaultPlan] = None
         #: armed slot-protocol sanitizer (None = zero-overhead fast path)
         self.sanitizer: Optional[Any] = None
+        #: publish-to-visible delay of one fragment
+        self._publish_delay = costs.mailbox_write + mailbox_latency(
+            spec, sender_core, receiver_core)
 
     def slot_offset(self, slot: int) -> int:
         if not 0 <= slot < self.n_slots:
@@ -197,10 +233,12 @@ class FifoSegment:
                     dst_core=self.receiver_core)
         else:
             tr.tick("shm.fifo_publish")
-        delay = self.costs.mailbox_write + mailbox_latency(
-            self.spec, self.sender_core, self.receiver_core
-        )
-        self.mem.sim.schedule(delay, lambda: self.full_queue.put((slot, nbytes, meta)))
+        arrival = Timeout(self.mem.sim, self._publish_delay,
+                          (slot, nbytes, meta), name=self.name)
+        arrival.callbacks = [self._arrive]
+
+    def _arrive(self, event: Event) -> None:
+        self.full_queue.put(event._value)
 
     def next_full(self) -> Event:
         """Receiver side: event yielding ``(slot, nbytes, meta)``."""
@@ -258,6 +296,7 @@ class ShmWorld:
         self.mem = mem
         self.costs = costs or KernelCosts()
         self._mailboxes: dict[Any, Mailbox] = {}
+        self._latencies = latency_table(spec)
         self._fifos: dict[tuple[int, int], FifoSegment] = {}
         self.fault_plan: Optional[FaultPlan] = None
         self.sanitizer: Optional[Any] = None
@@ -279,7 +318,8 @@ class ShmWorld:
         box = self._mailboxes.get(key)
         if box is None:
             box = Mailbox(self.sim, self.spec, owner_core, self.costs,
-                          name=f"mbox:{key}", tracer=self.mem.tracer)
+                          self._latencies, name=f"mbox:{key}",
+                          tracer=self.mem.tracer)
             self._mailboxes[key] = box
         elif box.owner_core != owner_core:
             raise ShmError(f"mailbox {key!r} already owned by core {box.owner_core}")

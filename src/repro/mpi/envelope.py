@@ -28,7 +28,7 @@ FIN = "fin"            # receiver -> sender completion notification
 RETX = "retx"          # sender -> receiver retransmission after a NACKed FIN
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One point-to-point control record.
 

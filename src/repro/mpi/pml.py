@@ -162,46 +162,42 @@ class PmlEndpoint:
         """Blocking send (generator).  Object mode when ``obj`` is given."""
         self.sent_messages += 1
         try:
-            yield from self._send_body(ticket, cid, src_rank, dest_world, tag,
-                                       buf, offset, nbytes, obj, hb)
+            if obj is not _NO_OBJECT:
+                yield self.sim.timeout(self.stack.sw_send_eager)
+                yield from self._send_inline(ticket, cid, src_rank, dest_world,
+                                             tag, OBJECT_NBYTES, obj,
+                                             is_object=True, hb=hb)
+                self._emit_send_done(hb)
+                return
+            if buf is None:
+                raise MpiError("buffer send requires a SimBuffer")
+            buf.check_range(offset, nbytes)
+            stack = self.stack
+            if nbytes <= stack.eager_limit:
+                yield self.sim.timeout(stack.sw_send_eager)
+            else:
+                yield self.sim.timeout(stack.sw_send_rndv)
+            if nbytes <= stack.inline_limit:
+                payload = None
+                if buf.backed:
+                    payload = bytes(buf.data[offset: offset + nbytes])
+                yield from self._send_inline(ticket, cid, src_rank, dest_world,
+                                             tag, nbytes, payload,
+                                             is_object=False, hb=hb)
+            elif nbytes <= stack.eager_limit:
+                yield from self._send_eager(ticket, cid, src_rank, dest_world,
+                                            tag, buf, offset, nbytes, hb)
+            elif stack.use_knem_btl and nbytes >= stack.knem_threshold:
+                yield from self._send_knem(ticket, cid, src_rank, dest_world,
+                                           tag, buf, offset, nbytes, hb)
+            else:
+                yield from self._send_sm(ticket, cid, src_rank, dest_world,
+                                         tag, buf, offset, nbytes, hb)
+            self._emit_send_done(hb)
         finally:
             # Normal completion already posted (ticket triggered, no-op);
             # an unwound send vacates its ordering slot instead.
             self._retire_ticket(ticket)
-
-    def _send_body(self, ticket, cid, src_rank, dest_world, tag, buf, offset,
-                   nbytes, obj, hb):
-        if obj is not _NO_OBJECT:
-            yield self.sim.timeout(self.stack.sw_send_eager)
-            yield from self._send_inline(ticket, cid, src_rank, dest_world,
-                                         tag, OBJECT_NBYTES, obj,
-                                         is_object=True, hb=hb)
-            self._emit_send_done(hb)
-            return
-        if buf is None:
-            raise MpiError("buffer send requires a SimBuffer")
-        buf.check_range(offset, nbytes)
-        if nbytes <= self.stack.eager_limit:
-            yield self.sim.timeout(self.stack.sw_send_eager)
-        else:
-            yield self.sim.timeout(self.stack.sw_send_rndv)
-        if nbytes <= self.stack.inline_limit:
-            payload = None
-            if buf.backed:
-                payload = bytes(buf.data[offset: offset + nbytes])
-            yield from self._send_inline(ticket, cid, src_rank, dest_world,
-                                         tag, nbytes, payload, is_object=False,
-                                         hb=hb)
-        elif nbytes <= self.stack.eager_limit:
-            yield from self._send_eager(ticket, cid, src_rank, dest_world,
-                                        tag, buf, offset, nbytes, hb)
-        elif self.stack.use_knem_btl and nbytes >= self.stack.knem_threshold:
-            yield from self._send_knem(ticket, cid, src_rank, dest_world,
-                                       tag, buf, offset, nbytes, hb)
-        else:
-            yield from self._send_sm(ticket, cid, src_rank, dest_world, tag,
-                                     buf, offset, nbytes, hb)
-        self._emit_send_done(hb)
 
     def _emit_send_done(self, hb: int) -> None:
         tr = self.machine.tracer
@@ -372,16 +368,18 @@ class PmlEndpoint:
                   want_object=False) -> Request:
         """Non-blocking receive post; returns the request."""
         req = Request(self.sim, "recv")
-        src_world = (None if source == ANY_SOURCE
-                     else self.world.comm_world_rank(cid, source))
         tr = self.machine.tracer
         if tr.enabled:
+            src_world = (None if source == ANY_SOURCE
+                         else self.world.comm_world_rank(cid, source))
             tr.emit("mpi.recv_post", rank=self.proc.rank,
                     src=src_world, req=req.id)
         else:
             tr.tick("mpi.recv_post")
         posted = PostedRecv(source, tag, buf, offset, nbytes, req, want_object)
-        engine = self.engines.setdefault(cid, MatchEngine())
+        engine = self.engines.get(cid)
+        if engine is None:
+            engine = self.engines[cid] = MatchEngine()
         env = engine.post(posted)
         if env is not None:
             self.sim.process(self._deliver(env, posted),
@@ -439,11 +437,16 @@ class PmlEndpoint:
                     raise MpiError(f"unmatched RETX for send seq {env.payload}")
                 waiter.succeed(env)
                 continue
-            engine = self.engines.setdefault(env.cid, MatchEngine())
+            engine = self.engines.get(env.cid)
+            if engine is None:
+                engine = self.engines[env.cid] = MatchEngine()
             posted = engine.incoming(env)
             if posted is not None:
+                # Owned by this rank, like the deliveries post_recv spawns:
+                # a crash of the receiver takes its in-flight copies down.
                 self.sim.process(self._deliver(env, posted),
-                                 name=f"deliver[{self.proc.rank}]")
+                                 name=f"deliver[{self.proc.rank}]",
+                                 owner=self.proc.rank)
 
     def _deliver(self, env: Envelope, posted: PostedRecv):
         """Receiver-side data movement for one matched message."""

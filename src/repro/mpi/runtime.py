@@ -263,6 +263,8 @@ class World:
     # -- rank-failure model (ULFM-style) ----------------------------------
     def dead_in(self, world_ranks: list[int]) -> Optional[int]:
         """Lowest dead world rank in a communicator group (None = all live)."""
+        if not self.dead:
+            return None
         dead = [r for r in world_ranks if r in self.dead]
         return min(dead) if dead else None
 

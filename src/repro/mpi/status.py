@@ -3,21 +3,20 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.simtime.core import Event, Simulator
 
 __all__ = ["Status", "Request"]
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(NamedTuple):
     """Completion information of a receive (MPI_Status).
 
     ``payload`` carries the Python object of an object-mode message
     (:meth:`~repro.mpi.communicator.Comm.send_obj`), ``None`` for buffer
-    messages.
+    messages.  Immutable, and a tuple so that building one per received
+    message costs one allocation.
     """
 
     source: int

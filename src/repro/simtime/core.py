@@ -6,20 +6,27 @@ Semantics follow the classic discrete-event pattern:
   or :meth:`Event.fail`; triggering enqueues it so its callbacks run at the
   current simulation time (events never run callbacks synchronously, which
   keeps process resumption ordering deterministic).
-- The :class:`Simulator` pops events in ``(time, sequence)`` order, so two
-  events scheduled for the same instant are processed in scheduling order.
+- The :class:`Simulator` dispatches events in ``(time, creation)`` order,
+  so two events due at the same instant are processed in the order they
+  were scheduled.
 - Failures (:meth:`Event.fail`) propagate into any process waiting on the
   event; an unwaited failure surfaces when the event is processed, so errors
   cannot be silently dropped.
 
-One binary heap (``_heap``) of ``(time, seq, event)`` tuples holds every
-triggered event.
+The queue has two tiers.  Events due at the instant that creates them
+(every ``succeed``/``fail``, and every :class:`Timeout` whose
+``now + delay == now``) go on a FIFO deque, ``_ready``; later events go on
+a binary heap, ``_heap``, of ``(time, seq, event)`` tuples.  A heap entry
+due now was created at an earlier instant, so it precedes everything in
+the FIFO: each instant dispatches its heap entries first, in ``seq``
+order, then the FIFO in append order — exactly the order of one heap
+holding every event.
 """
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappush
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -36,12 +43,12 @@ class _Pending:
 
 PENDING = _Pending()
 
-#: Shared empty callbacks list for freshly created :class:`Timeout` events.
-#: Most timeouts never receive a callback (their single waiter rides the
-#: ``_pwait`` slot), so allocating a list per timeout is pure overhead.
-#: Every append site must treat this sentinel as copy-on-write: replace it
-#: with a fresh one-element list instead of mutating it (see
-#: :meth:`Event.add_callback` and ``Process._resume``).
+#: Shared empty callbacks list for freshly created events.  Most events
+#: never receive a callback (their single waiter rides the ``_pwait``
+#: slot), so allocating a list per event is pure overhead.  Every append
+#: site must treat this sentinel as copy-on-write: replace it with a fresh
+#: one-element list instead of mutating it (see :meth:`Event.add_callback`
+#: and ``Process._resume``).
 _NO_CBS: list = []
 
 
@@ -56,15 +63,14 @@ class Event:
     order).
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_defused",
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused",
                  "_abandoned", "_pwait", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
-        self.callbacks: Optional[list[Callable[["Event"], None]]] = []
+        self.callbacks: Optional[list[Callable[["Event"], None]]] = _NO_CBS
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
-        self._scheduled = False
         self._defused = False
         #: set when the process that was waiting on this event is forcibly
         #: unwound (kill/throw) while the event is still queued inside a
@@ -100,13 +106,22 @@ class Event:
         return self._value
 
     # -- triggering ------------------------------------------------------
+    # A trigger is the only way onto the queue, and a second trigger is
+    # refused, so an event can never be queued twice.  The push onto the
+    # current-instant FIFO is inlined (here, in fail and in Timeout): a
+    # method call per event is measurable at sweep scale.
     def succeed(self, value: Any = None) -> "Event":
         """Mark the event successful and enqueue callback processing."""
         if self._value is not PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
         self._ok = True
-        self.sim._enqueue(self)
+        sim = self.sim
+        ready = sim._ready
+        ready.append(self)
+        n = len(ready) + len(sim._heap)
+        if n > sim.peak_heap:
+            sim.peak_heap = n
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -117,7 +132,12 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = exc
         self._ok = False
-        self.sim._enqueue(self)
+        sim = self.sim
+        ready = sim._ready
+        ready.append(self)
+        n = len(ready) + len(sim._heap)
+        if n > sim.peak_heap:
+            sim.peak_heap = n
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -128,7 +148,7 @@ class Event:
             # ``fn`` always receives the *original* event, so late waiters
             # observe the same value/failure early waiters did.
             proxy = Event(self.sim, name=f"{getattr(self, 'name', '')}:late")
-            proxy.callbacks.append(lambda _e: fn(self))
+            proxy.callbacks = [lambda _e: fn(self)]
             if self._ok:
                 proxy.succeed(self._value)
             else:
@@ -141,7 +161,7 @@ class Event:
         elif self.callbacks:
             self.callbacks.append(fn)
         else:
-            # Empty: may be the shared _NO_CBS sentinel — copy-on-write.
+            # Empty: the shared _NO_CBS sentinel — copy-on-write.
             self.callbacks = [fn]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -157,8 +177,11 @@ class Timeout(Event):
 
     The constructor is the hottest allocation site of a sweep (every
     simulated delay is one Timeout), so it inlines ``Event.__init__`` and
-    ``Simulator._enqueue`` and skips the old eager ``timeout(<delay>)``
-    name formatting — diagnostics fall back to the class name instead.
+    the queue push, and formats no name — diagnostics fall back to the
+    class name instead.  A zero-delay Timeout whose ``_pwait`` is a
+    process is also how the event core wakes a process without a waited
+    event of its own: a process's first step, and a wait on an event that
+    was already processed successfully (see ``Process``).
     """
 
     __slots__ = ("delay",)
@@ -176,24 +199,28 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
         # Inlined Event.__init__: a Timeout is born triggered-successful.
-        # ``_scheduled``/``_defused``/``_abandoned`` stay deliberately
-        # unset: a Timeout cannot re-enter ``_enqueue`` (succeed/fail raise
-        # "already triggered" first), ``_defused`` is only read behind an
-        # ``_ok is False`` guard, and ``_abandoned`` is only read on the
-        # waiter events the primitives create themselves.  Writes to the
-        # unset slots (kill/throw defusal) still work; a read would raise
-        # loudly instead of masking a broken assumption.
+        # ``_defused``/``_abandoned`` stay deliberately unset: ``_defused``
+        # is only read behind an ``_ok is False`` guard, and ``_abandoned``
+        # is only read on the waiter events the primitives create
+        # themselves.  Writes to the unset slots (kill/throw defusal) still
+        # work; a read would raise loudly instead of masking a broken
+        # assumption.
         self.sim = sim
         self.callbacks = _NO_CBS
         self._value = value
         self._pwait = None
         self.name = name
         self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        # Inlined _enqueue (a fresh Timeout can never be double-scheduled).
+        now = sim.now
+        t = now + delay
         heap = sim._heap
-        heappush(heap, (sim.now + delay, seq, self))
-        n = len(heap)
+        ready = sim._ready
+        if t == now:
+            ready.append(self)
+        else:
+            sim._seq = seq = sim._seq + 1
+            heappush(heap, (t, seq, self))
+        n = len(ready) + len(heap)
         if n > sim.peak_heap:
             sim.peak_heap = n
 
@@ -214,7 +241,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: events due later than ``now``, as ``(time, seq, event)``
         self._heap: list[tuple[float, int, Event]] = []
+        #: events due at ``now``, in the order they were triggered
+        self._ready: deque[Event] = deque()
         self._seq = 0
         # Live processes (for deadlock diagnostics); maintained by Process.
         self._live_processes: dict[int, Any] = {}
@@ -222,25 +252,13 @@ class Simulator:
         self.events_processed = 0
         #: generator resumptions so far (maintained by Process._resume)
         self.process_resumes = 0
-        #: high-water mark of the event queue
+        #: high-water mark of the event queue (both tiers)
         self.peak_heap = 0
-
-    # -- queue plumbing ---------------------------------------------------
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            raise SimulationError(f"event {event!r} already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heap = self._heap
-        heapq.heappush(heap, (self.now + delay, self._seq, event))
-        n = len(heap)
-        if n > self.peak_heap:
-            self.peak_heap = n
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` simulated seconds; returns the event."""
         ev = Timeout(self, delay, name="schedule")
-        ev.add_callback(lambda _e: fn())
+        ev.callbacks = [lambda _e: fn()]
         return ev
 
     def event(self, name: str = "") -> Event:
@@ -261,25 +279,30 @@ class Simulator:
         for, so a rank crash can take its in-flight protocol children down
         with it.
         """
-        from repro.simtime.process import Process
-
         return Process(self, gen, name=name, daemon=daemon, owner=owner)
 
     def _next_time(self) -> Optional[float]:
         """Earliest queued event time (``None`` when the queue is empty)."""
+        if self._ready:
+            return self.now
         heap = self._heap
         return heap[0][0] if heap else None
 
     # -- main loop ---------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event (advancing ``now``)."""
+        # Heap entries due now go first: they were created at an earlier
+        # instant, so their sequence numbers are below anything in the FIFO.
         heap = self._heap
-        if not heap:
+        if heap and heap[0][0] <= self.now:
+            event = heappop(heap)[2]
+        elif self._ready:
+            event = self._ready.popleft()
+        elif heap:
+            t, _seq, event = heappop(heap)
+            self.now = t
+        else:
             raise SimulationError("step() on an empty event queue")
-        t, _seq, event = heapq.heappop(heap)
-        if t < self.now - 1e-18:
-            raise SimulationError("event queue went backwards in time")
-        self.now = t
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None
@@ -310,18 +333,27 @@ class Simulator:
                 self.step()
             self.now = until
             return
-        # Hot loop: inlined step() without the per-event monotonicity check
-        # (enqueue can only schedule at >= now, so the heap cannot go
-        # backwards) or attribute re-lookups.  This is where whole sweeps
-        # spend their time; see benchmarks/bench_simcore.py.
+        # Hot loop: step() inlined, with the queue bound to locals.  An
+        # instant ends when neither tier holds an event due at it; only
+        # then does ``now`` advance to the heap's top.  This is where whole
+        # sweeps spend their time; see benchmarks/bench_simcore.py.
         heap = self._heap
-        pop = heapq.heappop
+        ready = self._ready
+        popleft = ready.popleft
+        now = self.now
         dispatched = 0
         try:
-            while heap:
-                t, _seq, event = pop(heap)
+            while True:
+                if heap and heap[0][0] <= now:
+                    event = heappop(heap)[2]
+                elif ready:
+                    event = popleft()
+                elif heap:
+                    self.now = now = heap[0][0]
+                    continue
+                else:
+                    break
                 dispatched += 1
-                self.now = t
                 callbacks, event.callbacks = event.callbacks, None
                 pw = event._pwait
                 if pw is not None:
@@ -378,7 +410,7 @@ class Simulator:
 
     @property
     def queue_size(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._ready)
 
     @property
     def stats(self) -> dict[str, int]:
@@ -388,3 +420,8 @@ class Simulator:
             "process_resumes": self.process_resumes,
             "peak_heap": self.peak_heap,
         }
+
+
+# Bound at the end: process.py subclasses Event, so it imports this module
+# first (the package __init__ guarantees that order).
+from repro.simtime.process import Process  # noqa: E402

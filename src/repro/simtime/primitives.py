@@ -27,6 +27,7 @@ class Channel:
     def __init__(self, sim: Simulator, name: str = "channel"):
         self.sim = sim
         self.name = name
+        self._get_name = f"{name}:get"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
@@ -47,7 +48,7 @@ class Channel:
 
     def get(self) -> Event:
         """Return an event that succeeds with the next item."""
-        ev = Event(self.sim, name=f"{self.name}:get")
+        ev = Event(self.sim, name=self._get_name)
         if self._items:
             ev.succeed(self._items.popleft())
         else:
@@ -80,6 +81,7 @@ class Semaphore:
             raise SimulationError(f"semaphore capacity must be >= 0, got {capacity}")
         self.sim = sim
         self.name = name
+        self._acquire_name = f"{name}:acquire"
         self.capacity = capacity
         self.epoch = 0  # bumped by reset(); invalidates held units
         self._available = capacity
@@ -91,7 +93,7 @@ class Semaphore:
 
     def acquire(self) -> Event:
         """Return an event that succeeds once a unit is held."""
-        ev = Event(self.sim, name=f"{self.name}:acquire")
+        ev = Event(self.sim, name=self._acquire_name)
         if self._available > 0:
             self._available -= 1
             ev.succeed(None)

@@ -15,16 +15,26 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.simtime.core import PENDING, Event, Simulator
+from repro.simtime.core import PENDING, Event, Simulator, Timeout
 
 __all__ = ["Process", "AllOf", "AnyOf"]
 
 
 class Process(Event):
-    """A coroutine scheduled by the simulator; also an awaitable event."""
+    """A coroutine scheduled by the simulator; also an awaitable event.
 
-    __slots__ = ("_gen", "_send", "_throw", "_waiting_on", "daemon", "owner",
-                 "_death_callbacks", "_resume_cb")
+    A process is woken through the ``_pwait`` slot of the event it waits
+    on.  Two wakeups have no waited event of their own and borrow a
+    born-triggered zero-delay :class:`Timeout`: the first step (a new
+    process starts at the current instant, after everything already
+    queued), and a wait on an event that was already processed
+    successfully (the Timeout carries its value).  A wait on a processed
+    *failed* event goes through :meth:`Event.add_callback`'s proxy instead,
+    because a Timeout cannot fail.
+    """
+
+    __slots__ = ("_gen", "_send", "_waiting_on", "daemon", "owner",
+                 "_death_callbacks")
 
     _ids = 0
 
@@ -38,26 +48,18 @@ class Process(Event):
         Process._ids += 1
         super().__init__(sim, name=name or f"process-{Process._ids}")
         self._gen = gen
-        # Pre-bound generator entry points: one resume per event dispatched
+        # Pre-bound generator entry point: one resume per event dispatched
         # makes the attribute lookup + method bind measurable at sweep scale.
         self._send = gen.send
-        self._throw = gen.throw
         self.daemon = daemon
         self.owner = owner
-        self._waiting_on: Event | None = None
-        self._death_callbacks: list = []
-        # One bound method reused for every wakeup instead of a fresh
-        # closure per yield: processes re-arm on every event they wait on,
-        # so this is one of the hottest allocation sites in a sweep.
-        self._resume_cb = self._resume
+        #: on-death hooks, allocated by the first :meth:`on_death`
+        self._death_callbacks: "list | None" = None
         sim._live_processes[id(self)] = self
         # Kick off on the next queue dispatch at the current time.
-        start = Event(sim, name=f"{self.name}:start")
-        start.callbacks.append(self._start)  # type: ignore[union-attr]
-        start.succeed(None)
-
-    def _start(self, event: Event) -> None:
-        self._resume(event, forced=True)
+        start = Timeout(sim, 0.0)
+        start._pwait = self
+        self._waiting_on: Event | None = start
 
     @property
     def is_alive(self) -> bool:
@@ -68,36 +70,28 @@ class Process(Event):
         """The event this process is currently blocked on (diagnostics)."""
         return self._waiting_on
 
-    def _resume(self, event: Event, forced: bool = False) -> None:
+    def _resume(self, event: Event) -> None:
         # Direct slot reads (not the triggered/value properties): this is
         # the hottest dispatch path of a sweep, entered once per generator
         # resumption.
-        if self._value is not PENDING or \
-                (not forced and self._waiting_on is not event):
-            # Stale wakeup: the process was killed, or forcibly resumed
-            # (interrupt/throw) while this event was still in flight.  Its
-            # failure, if any, was aimed at a generator frame that no longer
-            # exists — swallow it instead of crashing the simulator.
+        if self._waiting_on is not event:
+            # Stale wakeup: the process was killed or finished (both clear
+            # ``_waiting_on``), or forcibly resumed (interrupt/throw) while
+            # this event was still in flight.  Its failure, if any, was
+            # aimed at a generator frame that no longer exists — swallow it
+            # instead of crashing the simulator.
             if event._ok is False:
                 event._defused = True
             return
-        stale = self._waiting_on
-        if stale is not None and stale is not event:
-            # Forced delivery (interrupt/throw): the event the process was
-            # genuinely blocked on may still sit in a primitive's waiter
-            # queue.  Mark it abandoned so Semaphore/Channel hand-offs skip
-            # it instead of granting a token nobody will ever use.
-            stale._abandoned = True
         self._waiting_on = None
         sim = self.sim
         sim.process_resumes += 1
         try:
             if event._ok is False:
                 event._defused = True
-                target = self._throw(event._value)
+                target = self._gen.throw(event._value)
             else:
-                target = self._send(
-                    event._value if event is not self else None)
+                target = self._send(event._value)
         except StopIteration as stop:
             self._finish_ok(stop.value)
             return
@@ -122,40 +116,57 @@ class Process(Event):
         # Re-arm: the common first-waiter case takes the dedicated _pwait
         # slot (the dispatch loops fire it before the callbacks list, which
         # is registration order because it is only taken while the list is
-        # empty); otherwise inline add_callback with the cached bound
-        # method; already-processed targets need the zero-delay proxy.
+        # empty); otherwise inline add_callback.  An already-processed
+        # target needs a fresh zero-delay wakeup.
         cbs = target.callbacks
         if cbs is not None:
             if cbs:
-                cbs.append(self._resume_cb)
+                cbs.append(self._resume)
             elif target._pwait is None:
                 target._pwait = self
             else:
                 # Second same-instant waiter on an event whose callbacks
                 # may be the shared _NO_CBS sentinel: copy-on-write.
-                target.callbacks = [self._resume_cb]
+                target.callbacks = [self._resume]
+        elif target._ok:
+            late = Timeout(sim, 0.0, target._value)
+            late._pwait = self
+            self._waiting_on = late
         else:
-            target.add_callback(self._resume_cb)
+            target.add_callback(self._resume)
+
+    def _force(self, event: Event) -> None:
+        """Resume with ``event`` whatever the process is blocked on.
+
+        The delivery path of :meth:`throw` and :meth:`interrupt`.  The event
+        the process was genuinely blocked on may still sit in a primitive's
+        waiter queue: it is marked abandoned so Semaphore/Channel hand-offs
+        skip it instead of granting a token nobody will ever use, and its
+        own later wakeup is stale.
+        """
+        if self._value is not PENDING:
+            return  # finished in the meantime; the failure is pre-defused
+        stale = self._waiting_on
+        if stale is not None and stale is not event:
+            stale._abandoned = True
+        self._waiting_on = event
+        self._resume(event)
 
     def _finish_ok(self, value: Any) -> None:
         self.sim._live_processes.pop(id(self), None)
-        # A finished process never re-arms; dropping the bound method
-        # breaks its self-cycle so reference counting frees the process
-        # (a callback already queued holds its own reference).
-        self._resume_cb = None
         self.succeed(value)
         self._fire_death()
 
     def _finish_fail(self, exc: BaseException) -> None:
         self.sim._live_processes.pop(id(self), None)
-        self._resume_cb = None
         self.fail(exc)
         self._fire_death()
 
     def _fire_death(self) -> None:
-        callbacks, self._death_callbacks = self._death_callbacks, []
-        for fn in callbacks:
-            fn(self)
+        callbacks, self._death_callbacks = self._death_callbacks, None
+        if callbacks:
+            for fn in callbacks:
+                fn(self)
 
     def on_death(self, fn) -> None:
         """Register ``fn(process)`` to run when the process terminates.
@@ -167,8 +178,10 @@ class Process(Event):
         """
         if self.triggered:
             fn(self)
-            return
-        self._death_callbacks.append(fn)
+        elif self._death_callbacks is None:
+            self._death_callbacks = [fn]
+        else:
+            self._death_callbacks.append(fn)
 
     def kill(self, exc: "BaseException | None" = None) -> None:
         """Terminate the process now (fail-stop crash model).
@@ -177,7 +190,8 @@ class Process(Event):
         own event with ``exc`` (default :class:`ProcessKilled`), defuses the
         event it was blocked on so the later stale wakeup is harmless, and
         fires registered on-death cleanups.  Killing a finished process is a
-        no-op.
+        no-op; killing one that has not taken its first step closes the
+        generator before its body runs.
         """
         if self.triggered:
             return
@@ -218,7 +232,7 @@ class Process(Event):
                 return
             if only_if is not None and not only_if():
                 return
-            self._resume(event, forced=True)
+            self._force(event)
 
         ev.add_callback(deliver)
         ev.fail(exc)
@@ -228,7 +242,7 @@ class Process(Event):
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
         ev = Event(self.sim, name=f"{self.name}:interrupt")
-        ev.add_callback(lambda event: self._resume(event, forced=True))
+        ev.add_callback(self._force)
         ev._defused = True
         ev.fail(Interrupted(reason))
 

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import MpiError, RankFailed
 from repro.faults import FaultPlan
 from repro.mpi import Job, Machine, stacks
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 pytestmark = pytest.mark.faults
 
@@ -149,6 +149,44 @@ class TestShrinkAndRetry:
             job.world.kill_rank(rank, reason="test")
         with pytest.raises(MpiError, match="no live ranks"):
             job.run(bcast_survivor_program)
+
+
+class TestReapDeliveries:
+    def test_crashed_receiver_stops_copying_out(self):
+        """A dead root's matched deliveries die with it.
+
+        Kill the root of a Tuned-SM gather mid-flight: every delivery the
+        root's progress engine had spawned must be gone right after the
+        kill, and the root's core completes at most the one FIFO copy-out
+        its CPU had in flight (a rank's copies serialize on its CPU).
+        """
+        m, job = make_job(stack=stacks.TUNED_SM, trace=True)
+        sim = m.sim
+        at_kill = {}
+
+        def kill_root():
+            job.world.kill_rank(0, reason="test")
+            at_kill["deliveries"] = sum(
+                1 for p in sim._live_processes.values()
+                if p.name == "deliver[0]" and p.is_alive)
+            at_kill["time"] = sim.now
+
+        sim.schedule(1e-4, kill_root)
+
+        def prog(proc):
+            send = proc.alloc(1 * MiB, backed=False)
+            recv = (proc.alloc(NPROCS * MiB, backed=False)
+                    if proc.rank == 0 else None)
+            yield from proc.comm.gather(send, recv, 1 * MiB, root=0)
+
+        with pytest.raises(RankFailed):
+            job.run(prog)
+        assert at_kill["deliveries"] == 0
+        late_copies = [r for r in m.tracer.records
+                       if r.category == "copy" and r.fields["core"] == 0
+                       and r.fields["label"] == "fifo-out"
+                       and r.time > at_kill["time"]]
+        assert len(late_copies) <= 1
 
 
 class TestTimedAndStallRules:

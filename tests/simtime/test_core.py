@@ -244,6 +244,124 @@ class TestSimulator:
             sim.run_horizon(1.5)
 
 
+class TestTwoTierQueue:
+    """Events due at the instant that creates them skip the heap; the
+    dispatch order must still be the ``(time, creation)`` order of one
+    queue holding every event."""
+
+    def test_earlier_instant_event_due_now_precedes_zero_delay(self, sim):
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule(0.0, lambda: order.append("zero-delay"))
+
+        sim.schedule(1.0, first)
+        # Created at t=0.5, after ``first`` was scheduled, and due at the
+        # same instant: it still goes before anything created at t=1.
+        sim.schedule(0.5, lambda: sim.schedule(
+            0.5, lambda: order.append("from-0.5")))
+        sim.run()
+        assert order == ["first", "from-0.5", "zero-delay"]
+
+    def test_timeout_rounding_to_now_keeps_fifo_order(self, sim):
+        order = []
+
+        def at_one():
+            sim.schedule(0.0, lambda: order.append("a"))
+            assert sim.now + 1e-30 == sim.now
+            tiny = sim.timeout(1e-30)
+            tiny.add_callback(lambda e: order.append(("tiny", sim.now)))
+            sim.schedule(0.0, lambda: order.append("c"))
+
+        sim.schedule(1.0, at_one)
+        sim.schedule(0.5, lambda: sim.schedule(
+            0.5, lambda: order.append("earlier")))
+        sim.run()
+        assert order == ["earlier", "a", ("tiny", 1.0), "c"]
+
+    def test_queue_size_and_peak_count_both_tiers(self, sim):
+        sim.timeout(1.0)
+        sim.timeout(0.0)
+        sim.event().succeed()
+        assert sim.queue_size == 3
+        assert sim.peak_heap == 3
+        sim.run()
+        assert sim.queue_size == 0
+        assert sim.peak_heap == 3
+
+    def test_step_dispatches_heap_entries_due_now_first(self, sim):
+        order = []
+        sim.schedule(1.0, lambda: sim.schedule(
+            0.0, lambda: order.append("zero-delay")))
+        sim.schedule(1.0, lambda: order.append("second"))
+        sim.step()
+        assert sim.queue_size == 2
+        sim.step()
+        assert order == ["second"]
+        sim.step()
+        assert order == ["second", "zero-delay"]
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize("runner", ["until", "horizon"])
+    def test_run_bounds_finish_the_current_instant(self, sim, runner):
+        fired = []
+
+        def at_one():
+            fired.append("t1")
+            sim.schedule(0.0, lambda: fired.append("t1-zero"))
+
+        sim.schedule(1.0, at_one)
+        sim.schedule(2.0, lambda: fired.append("t2"))
+        if runner == "until":
+            sim.run(until=1.0)
+        else:
+            sim.run_horizon(1.0)
+        assert fired == ["t1", "t1-zero"]
+        assert sim.now == 1.0
+        assert sim.queue_size == 1
+        sim.run()
+        assert fired == ["t1", "t1-zero", "t2"]
+
+    def test_process_killed_before_first_step_never_runs(self, sim):
+        ran = []
+
+        def body():
+            ran.append("body")
+            yield sim.timeout(1.0)
+
+        p = sim.process(body(), name="p")
+        p.kill()
+        sim.run()
+        assert ran == []
+        assert not p.ok
+        assert sim.stats["process_resumes"] == 0
+
+    def test_late_wait_on_success_resumes_later_this_instant(self, sim):
+        ev = sim.event()
+        ev.succeed("v")
+        sim.run()
+        order = []
+
+        def late():
+            order.append("yield")
+            got = yield ev
+            order.append(("resumed", got, sim.now))
+
+        def at_one():
+            sim.process(late(), name="late")
+            sim.schedule(0.0, lambda: order.append("queued-after-start"))
+
+        sim.schedule(1.0, at_one)
+        before = sim.stats
+        sim.run()
+        assert order == ["yield", "queued-after-start", ("resumed", "v", 1.0)]
+        # at_one, the start, the schedule, the late wakeup and the
+        # process's own completion
+        assert sim.events_processed - before["events_processed"] == 5
+        assert sim.process_resumes - before["process_resumes"] == 2
+
+
 class TestLateFailure:
     """Late registration on an already-processed *failed* event.
 
