@@ -12,13 +12,17 @@ tests/bench/test_chunking.py:
   (``fail`` requeues exactly the unrecorded remainder),
 - the merged result set is independent of completion order.
 
-Chunks are sized by a measured per-cell cost estimate: each cell starts
-with a static estimate (the executor seeds message size — simulated event
-counts scale with segment count), and completed cells feed measured wall
-seconds back per *cost class* (the executor keys classes by stack name),
-scaling the estimates of still-queued cells.  Cheap cells therefore batch
-large and expensive cells batch small, and the target chunk cost shrinks
-as the queue drains so the tail stays load-balanced.
+Cells are queued longest first, by a static per-cell cost estimate (the
+executor seeds message size — simulated event counts scale with segment
+count), so the largest cells start at once instead of landing last on
+one worker while the others idle.  Chunks are sized by the same estimate:
+completed cells feed measured wall seconds back per *cost class* (the
+executor keys classes by stack name), scaling the estimates of
+still-queued cells; a class not measured yet takes the mean ratio of the
+measured ones, so a cell estimated in seconds is never weighed against
+one still estimated in bytes.  Cheap cells therefore batch large and
+expensive cells batch small, and the target chunk cost shrinks as the
+queue drains so the tail stays load-balanced.
 
 **The quarantine ladder.**  A cell whose execution deterministically
 kills its worker (a "poison" cell) would otherwise be requeued forever,
@@ -81,7 +85,8 @@ class Chunk:
 class ChunkScheduler:
     """Exactly-once chunked dispatch over ``n`` cells.
 
-    ``costs`` are positive relative cost estimates (one per cell);
+    ``costs`` are positive relative cost estimates (one per cell); cells
+    are queued in descending cost, equal costs in input order;
     ``classes`` optionally groups cells whose measured costs should inform
     each other (default: every cell is its own class).  ``oversubscribe``
     is the number of chunks each worker should see over a full sweep —
@@ -118,9 +123,14 @@ class ChunkScheduler:
         self._workers = workers
         self._oversubscribe = oversubscribe
         self._retry_limit = retry_limit
-        #: measured-over-estimated cost ratio per class (EWMA)
+        #: measured-over-estimated cost ratio per class (EWMA), and their
+        #: mean, which stands in for a class not measured yet so that every
+        #: estimate is in one unit
         self._ratio: dict[Hashable, float] = {}
-        self._queued: deque[int] = deque(range(n))
+        self._default_ratio = 1.0
+        # Longest first (a stable sort: equal costs keep input order).
+        self._queued: deque[int] = deque(
+            sorted(range(n), key=lambda c: -self._base[c]))
         self._outstanding: dict[int, tuple[int, ...]] = {}
         self._results: dict[int, Any] = {}
         # chunk_base offsets ids so schedulers sharing one persistent
@@ -162,7 +172,8 @@ class ChunkScheduler:
         return dict(self._results)
 
     def _estimate(self, cell: int) -> float:
-        return self._base[cell] * self._ratio.get(self._classes[cell], 1.0)
+        return self._base[cell] * self._ratio.get(self._classes[cell],
+                                                   self._default_ratio)
 
     # -- dispatch ---------------------------------------------------------
     def next_chunk(self) -> Optional[Chunk]:
@@ -222,6 +233,7 @@ class ChunkScheduler:
         prior = self._ratio.get(klass)
         self._ratio[klass] = ratio if prior is None else (
             prior + self.MEASURE_ALPHA * (ratio - prior))
+        self._default_ratio = sum(self._ratio.values()) / len(self._ratio)
 
     # -- chunk lifecycle --------------------------------------------------
     def complete(self, chunk_id: int) -> tuple[int, ...]:

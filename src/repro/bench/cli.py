@@ -67,24 +67,18 @@ def _result_exit(result, strict: bool) -> int:
     return EXIT_OK
 
 
-def _combos(name: str, machine: str | None) -> list[tuple[str, str | None]]:
-    """The (experiment, machine) pairs one experiment name expands to."""
-    _fn, takes_machine = EXPERIMENTS[name]
-    machines = [machine] if machine else (
-        list(MACHINE_RANKS) if takes_machine else [None])
-    return [(name, m) for m in machines]
-
-
 def _run_one(name: str, machine: str | None, scale: str, csv: bool,
              resume: bool, jobs: int, verbose: bool, strict: bool,
              service: str | None = None) -> int:
+    """Run one experiment on ``machine`` (default: every machine it applies
+    to), one sweep after another; returns the worst exit code."""
     fn, takes_machine = EXPERIMENTS[name]
+    kwargs = {"scale": scale, "resume": resume, "jobs": jobs,
+              "service": service}
+    machines = [machine] if machine else list(MACHINE_RANKS)
     status = EXIT_OK
-    for _name, m in _combos(name, machine):
-        result = (fn(m, scale=scale, resume=resume, jobs=jobs,
-                     service=service)
-                  if takes_machine else
-                  fn(scale=scale, resume=resume, jobs=jobs, service=service))
+    for m in machines if takes_machine else [None]:
+        result = fn(m, **kwargs) if takes_machine else fn(**kwargs)
         _print_result(result, csv, verbose)
         status = max(status, _result_exit(result, strict))
     return status
@@ -118,10 +112,9 @@ def main(argv: list[str] | None = None) -> int:
              "interrupted run (sweep experiments only)")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (0 = one per CPU).  A single experiment fans "
-             "its (stack, size) cells across workers; 'all' fans whole "
-             "(experiment, machine) combos instead.  Output is byte-"
-             "identical to --jobs 1 (default)")
+        help="warm-pool workers each sweep fans its (stack, size) cells "
+             "across, longest first (0 = one per CPU; 1 = in-process, the "
+             "default).  Output is byte-identical to --jobs 1")
     parser.add_argument(
         "--strict", action="store_true",
         help="also fail (exit 4) when any cell ran with degraded KNEM "
@@ -133,10 +126,11 @@ def main(argv: list[str] | None = None) -> int:
              "(exit 5 when damage is found; --resume recovers it)")
     parser.add_argument(
         "--profile", metavar="DIR", default=None,
-        help="run every sweep cell under cProfile and write one pstats "
-             "dump per cell into DIR (created if missing; inspect with "
-             "``python -m pstats``).  Forces serial execution: profiles "
-             "from forked pool workers would land in the wrong process")
+        help="run every sweep cell under cProfile and write one dump per "
+             "cell to DIR/<machine>_<operation>_<stack>_<size>.pstats "
+             "(DIR is created if missing; inspect with ``python -m "
+             "pstats``).  Forces --jobs 1, so each profile times its cell "
+             "alone")
     parser.add_argument(
         "--serve", metavar="ADDR", default=None,
         help="run a persistent sweep server on ADDR (host:port, port 0 = "
@@ -222,22 +216,6 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     status = EXIT_OK
-    if args.experiment == "all" and args.jobs != 1:
-        # Fan whole (experiment, machine) combos; each worker runs its cells
-        # serially, so the machine is never oversubscribed.  Results print
-        # in deterministic (sorted-name, machine-list) order and CSVs are
-        # written by this parent process.
-        from repro.bench.executor import run_experiments
-
-        kwargs = {"scale": args.scale, "resume": args.resume, "jobs": 1,
-                  "service": args.connect}
-        specs = [(name, m, kwargs)
-                 for exp in names
-                 for name, m in _combos(exp, args.machine)]
-        for result in run_experiments(specs, args.jobs):
-            _print_result(result, args.csv, args.verbose)
-            status = max(status, _result_exit(result, args.strict))
-        return status
     for name in names:
         status = max(status, _run_one(
             name, args.machine, args.scale, args.csv, args.resume,

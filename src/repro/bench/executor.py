@@ -15,9 +15,9 @@ amortizes kernel buffer registration:
 - the parent **warms every per-spec memo** (named specs, topology tree,
   distance matrix, route tables) and forks workers *once per sweep*, so
   workers inherit populated caches through copy-on-write;
-- workers pull **chunked cell batches** sized by a measured per-cell cost
-  estimate (see :mod:`repro.bench.chunking`) from per-worker queues, one
-  chunk in flight per worker, demand-driven;
+- workers pull **chunked cell batches**, longest cells first, sized by a
+  measured per-cell cost estimate (see :mod:`repro.bench.chunking`) from
+  per-worker queues, one chunk in flight per worker, demand-driven;
 - results stream back over **per-worker pipes** and the parent remains the
   **single writer** merging them into the cell map and the JSONL journal,
   which is what keeps parallel sweeps byte-identical to serial ones;
@@ -54,7 +54,7 @@ from typing import Any, Iterator, Optional, Sequence
 from repro.bench.chunking import DEFAULT_RETRY_LIMIT, ChunkScheduler
 from repro.errors import BenchmarkError
 
-__all__ = ["resolve_jobs", "run_cells", "run_experiments", "WarmPool",
+__all__ = ["resolve_jobs", "run_cells", "WarmPool",
            "install_cell_chaos", "in_worker", "sigterm_interrupts"]
 
 #: seconds between liveness polls while the result queue is quiet
@@ -145,15 +145,38 @@ def _picklable(exc: BaseException) -> BaseException:
         return BenchmarkError(f"worker cell failed: {exc!r}")
 
 
+def _profile_path(base: str, machine: str, operation: str, stack_name: str,
+                  size: int) -> str:
+    safe = "".join(c if c.isalnum() or c in "-._" else "-"
+                   for c in f"{machine}_{operation}_{stack_name}_{size}")
+    return os.path.join(base, safe + ".pstats")
+
+
 def _run_cell(task: tuple) -> tuple[str, float, Any]:
-    """Measure one (stack, size) cell; also the serial fallback path."""
+    """Measure one (stack, size) cell.
+
+    The one per-cell function: serial sweeps, warm-pool workers and the
+    sweep server's runner all call it.  Under ``harness.profile_dir`` the
+    cell runs under :mod:`cProfile` and its dump lands in
+    ``<dir>/<machine>_<operation>_<stack>_<size>.pstats``.
+    """
     machine, stack, nprocs, operation, size, settings = task
     from repro.bench import harness, imb
 
     key = f"{stack.name}|{size}"
     if _CELL_CHAOS_HOOK is not None:
         _CELL_CHAOS_HOOK(key)
-    t = harness.imb_time(machine, stack, nprocs, operation, size, settings)
+    prof_base = harness._PROFILE_DIR.get()
+    if prof_base is None:
+        t = harness.imb_time(machine, stack, nprocs, operation, size, settings)
+    else:
+        import cProfile
+
+        prof = cProfile.Profile()
+        t = prof.runcall(harness.imb_time, machine, stack, nprocs, operation,
+                         size, settings)
+        prof.dump_stats(_profile_path(prof_base, machine, operation,
+                                      stack.name, size))
     return key, t, imb.consume_cell_stats()
 
 
@@ -377,7 +400,8 @@ def run_cells(
             pass
 
     # Static seed: simulated event counts scale with segment count, i.e.
-    # message size; measured wall costs per stack refine this as cells land.
+    # message size.  It orders the queue longest first; measured wall
+    # costs per stack refine chunk sizes as cells land.
     scheduler = ChunkScheduler(
         [float(size) for _stack, size in cells],
         workers=n,
@@ -496,31 +520,3 @@ def run_cells(
             )
         if not external_pool:
             pool.shutdown()
-
-
-def _run_experiment(spec: tuple) -> Any:
-    """Run one whole (experiment, machine) combo; runs inside a worker."""
-    name, machine, kwargs = spec
-    from repro.bench.experiments import EXPERIMENTS
-
-    fn, takes_machine = EXPERIMENTS[name]
-    if takes_machine:
-        return fn(machine, **kwargs)
-    return fn(**kwargs)
-
-
-def run_experiments(specs: Sequence[tuple], jobs: int) -> list:
-    """Run ``(name, machine, kwargs)`` combos across workers, preserving
-    input order in the returned results.
-
-    Used by ``repro.bench all --jobs N``: fanning whole experiments keeps
-    each worker's cells serial (no oversubscription) while the independent
-    experiments overlap.  Results are ExperimentResults (picklable).
-    """
-    specs = list(specs)
-    n = min(resolve_jobs(jobs), len(specs))
-    if n <= 1:
-        return [_run_experiment(s) for s in specs]
-    ctx = _mp_context()
-    with ctx.Pool(processes=n) as pool:
-        return pool.map(_run_experiment, specs)

@@ -25,9 +25,11 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from repro.bench import imb
 from repro.bench.chunking import DEFAULT_RETRY_LIMIT, CellAborted
-from repro.bench.imb import CellStats, ImbSettings, imb_time
+# ``imb_time`` is the measurement every cell calls through
+# ``executor._run_cell`` as ``harness.imb_time``: tests and the ledger
+# replace it here.
+from repro.bench.imb import CellStats, ImbSettings, imb_time  # noqa: F401
 from repro.errors import BenchmarkError
 from repro.faults.plan import FaultPlan
 from repro.mpi.stacks import Stack
@@ -36,8 +38,7 @@ from repro.units import fmt_size, fmt_time
 
 __all__ = ["Series", "ExperimentResult", "SweepStats", "JournalReport",
            "JournalLease", "run_sweep", "results_dir", "checkpoint_path",
-           "verify_journal", "journal_wrapper", "profile_dir",
-           "acquire_journal_lease"]
+           "verify_journal", "journal_wrapper", "profile_dir"]
 
 
 def results_dir() -> str:
@@ -313,11 +314,11 @@ def journal_wrapper(
         _JOURNAL_WRAPPER.reset(token)
 
 
-#: profiling hook: a directory path; when set, every serially-executed
-#: sweep cell is run under :mod:`cProfile` and its pstats dump written to
-#: ``<dir>/<experiment>_<machine>_<stack>_<size>.pstats``.  Set via the
-#: ``--profile`` CLI flag (which forces serial execution — per-cell
-#: profiles from forked pool workers would land in the wrong process).
+#: profiling hook: a directory path; when set, every sweep cell is run
+#: under :mod:`cProfile` and its pstats dump written to
+#: ``<dir>/<machine>_<operation>_<stack>_<size>.pstats`` (see
+#: ``executor._run_cell``).  Set via the ``--profile`` CLI flag, which
+#: forces ``--jobs 1`` so each profile times its cell alone.
 #: Context-scoped like the journal wrapper, and for the same reason.
 _PROFILE_DIR: ContextVar[Optional[str]] = \
     ContextVar("repro_profile_dir", default=None)
@@ -331,13 +332,6 @@ def profile_dir(path: Optional[str]) -> Iterator[None]:
         yield
     finally:
         _PROFILE_DIR.reset(token)
-
-
-def _profile_path(base: str, experiment: str, machine: str, stack_name: str,
-                  size: int) -> str:
-    safe = "".join(c if c.isalnum() or c in "-._" else "-"
-                   for c in f"{experiment}_{machine}_{stack_name}_{size}")
-    return os.path.join(base, safe + ".pstats")
 
 
 class JournalLease:
@@ -406,12 +400,6 @@ class JournalLease:
         self.release()
 
 
-def acquire_journal_lease(path: str) -> JournalLease:
-    """Take the exclusive writer lease for journal ``path`` (typed
-    :class:`~repro.errors.BenchmarkError` when another writer holds it)."""
-    return JournalLease(path)
-
-
 def _record_checksum(key: str, t_literal: str) -> str:
     """Per-record integrity checksum of a format-3 journal line.
 
@@ -466,18 +454,14 @@ class JournalReport:
 
 
 def _parse_journal(path: str, header: Optional[dict]) -> JournalReport:
-    """Parse a journal of any known format into a :class:`JournalReport`.
+    """Parse a format-3 journal into a :class:`JournalReport`.
 
-    Format 3 records carry a blake2b checksum: a corrupt *interior* record
+    Every record carries a blake2b checksum: a corrupt *interior* record
     (bit rot, a partially flushed append that later appends buried) is
     skipped and reported — the cell simply recomputes on resume — instead
     of poisoning the whole journal.  A torn *final* line is the signature
-    of a crash mid-append and is dropped silently in every format.  Format
-    2 (no checksums) keeps its stricter historical contract: a malformed
-    interior line is a typed error, because without checksums a
-    wrong-but-parseable record cannot be told from a right one.  Format 1
-    (single JSON document) is read transparently and migrated by the
-    caller's compaction rewrite.
+    of a crash mid-append and is dropped silently.  A file whose header
+    line is not ``"format": 3`` is refused with a typed error.
 
     ``header`` is checked when given; pass ``None`` to inspect a journal
     without knowing which sweep it belongs to (``--verify-journal``).
@@ -498,24 +482,13 @@ def _parse_journal(path: str, header: Optional[dict]) -> JournalReport:
         raise BenchmarkError(f"corrupt sweep checkpoint {path}: {err}") from err
     if not isinstance(head, dict):
         raise BenchmarkError(f"corrupt sweep checkpoint {path}: bad header line")
-    if "format" not in head:
-        # Format 1: the whole file is one JSON document.
-        try:
-            data = json.loads(raw)
-        except ValueError as err:
-            raise BenchmarkError(
-                f"corrupt sweep checkpoint {path}: {err}") from err
-        if header is not None:
-            _check_header(data.get("header"), header, path)
-        cells = data.get("cells", {})
-        if not isinstance(cells, dict):
-            raise BenchmarkError(f"corrupt sweep checkpoint {path}: no cell map")
-        return JournalReport(path, 1, data.get("header"), cells, [], False)
     fmt = head.get("format")
-    if fmt not in (2, 3):
+    if fmt != _JOURNAL_FORMAT:
+        found = "no format" if fmt is None else f"format {fmt!r}"
         raise BenchmarkError(
-            f"corrupt sweep checkpoint {path}: "
-            f"unknown journal format {fmt!r}")
+            f"unsupported sweep checkpoint {path}: header line has {found}, "
+            f"only journal format {_JOURNAL_FORMAT} is read; delete it to "
+            f"start over")
     if header is not None:
         _check_header(head.get("header"), header, path)
     cells: dict[str, float] = {}
@@ -532,22 +505,16 @@ def _parse_journal(path: str, header: Optional[dict]) -> JournalReport:
             if not isinstance(key, str) or not isinstance(t, (int, float)):
                 raise ValueError("bad cell record")
             cell_hint = key
-            if fmt == 3:
-                want = _record_checksum(key, json.dumps(t))
-                got = rec.get("ck")
-                if got != want:
-                    raise ValueError(
-                        f"checksum mismatch (recorded {got!r})")
+            want = _record_checksum(key, json.dumps(t))
+            got = rec.get("ck")
+            if got != want:
+                raise ValueError(f"checksum mismatch (recorded {got!r})")
         except (ValueError, KeyError, TypeError) as err:
             if lineno == last:
                 torn_tail = True
                 break  # torn tail from a crash mid-append; cell re-runs
-            if fmt == 3:
-                skipped.append(JournalSkip(lineno, str(err), cell_hint))
-                continue  # skip-and-report: the cell recomputes
-            raise BenchmarkError(
-                f"corrupt sweep checkpoint {path}: "
-                f"bad journal line {lineno}") from err
+            skipped.append(JournalSkip(lineno, str(err), cell_hint))
+            continue  # skip-and-report: the cell recomputes
         cells[key] = t
     return JournalReport(path, fmt, head.get("header"), cells, skipped,
                          torn_tail)
@@ -557,17 +524,12 @@ def verify_journal(path: str) -> JournalReport:
     """Inspect a checkpoint journal without running anything.
 
     The ``python -m repro.bench --verify-journal PATH`` subcommand: parses
-    every record, verifies format-3 checksums, and reports corrupt/torn
-    records (each of which ``--resume`` would recover by recomputation).
-    Raises :class:`~repro.errors.BenchmarkError` only for damage resume
-    cannot recover from (unreadable header, unknown format).
+    every record, verifies its checksum, and reports corrupt/torn records
+    (each of which ``--resume`` would recover by recomputation).  Raises
+    :class:`~repro.errors.BenchmarkError` only for damage resume cannot
+    recover from (unreadable header, a format other than 3).
     """
     return _parse_journal(path, header=None)
-
-
-def _load_checkpoint(path: str, header: dict) -> JournalReport:
-    """Completed cells (and skip reports) from ``path``; empty when absent."""
-    return _parse_journal(path, header)
 
 
 def _compact_checkpoint(path: str, header: dict,
@@ -576,8 +538,7 @@ def _compact_checkpoint(path: str, header: dict,
 
     Write-temp-then-rename: a crash leaves either the previous journal or
     the compacted one — never a torn file.  Run once per sweep start, this
-    also migrates format-1/2 checkpoints to format 3 (adding per-record
-    checksums) and drops torn tails, corrupt records, and duplicates.
+    drops torn tails, corrupt records, and duplicates.
     """
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -667,23 +628,24 @@ def run_sweep(
 
     ``checkpoint`` names a journal file: every completed (stack, size) cell
     is appended there durably (header line + one checksummed JSON line per
-    cell; the journal is compacted — and old-format checkpoints migrated —
-    on load), and cells already journaled are skipped on restart.  Corrupt
-    interior records are skipped-and-reported (``stats.journal_skipped``)
-    and their cells recomputed; an append error mid-sweep downgrades the
-    rest of the sweep to no-journaling (``stats.journal_errors``) rather
-    than risking interior corruption.  Because each cell builds a fresh
-    machine, a killed-and-resumed sweep produces the same times — and
-    therefore byte-identical CSVs — as an uninterrupted one.
+    cell; the journal is compacted on load), and cells already journaled
+    are skipped on restart.  Corrupt interior records are skipped-and-
+    reported (``stats.journal_skipped``) and their cells recomputed; an
+    append error mid-sweep downgrades the rest of the sweep to
+    no-journaling (``stats.journal_errors``) rather than risking interior
+    corruption.  Because each cell builds a fresh machine, a
+    killed-and-resumed sweep produces the same times — and therefore
+    byte-identical CSVs — as an uninterrupted one.
 
-    ``parallel`` fans pending cells across worker processes (0 = one per
-    CPU; see :mod:`repro.bench.executor`).  Each cell is a pure function of
-    its inputs, every simulator iterates in creation-id order, and the cell
-    map is merged by this single writer, so parallel runs produce CSVs and
-    checkpoints byte-identical to ``parallel=1``.  ``retry_limit`` is the
-    per-cell worker-death budget of the quarantine ladder (parallel only);
-    quarantined cells land in ``result.aborted`` and are *absent* from the
-    series/CSV/journal, so ``--resume`` recomputes them.
+    ``parallel`` fans pending cells across warm-pool workers (0 = one per
+    CPU; 1 runs them in this process; see :mod:`repro.bench.executor`).
+    Each cell is a pure function of its inputs, every simulator iterates in
+    creation-id order, and the cell map is merged by this single writer,
+    so parallel runs produce CSVs and checkpoints byte-identical to
+    ``parallel=1``.  ``retry_limit`` is the per-cell worker-death budget
+    of the quarantine ladder (parallel only); quarantined cells land in
+    ``result.aborted`` and are *absent* from the series/CSV/journal, so
+    ``--resume`` recomputes them.
 
     ``service`` names a sweep-server address (``host:port`` or a unix
     socket path): pending cells are requested from the server instead of
@@ -741,8 +703,8 @@ def run_sweep(
         if checkpoint is not None:
             header = _sweep_header(experiment, machine, operation, nprocs,
                                    settings)
-            lease = acquire_journal_lease(checkpoint)
-            report = _load_checkpoint(checkpoint, header)
+            lease = JournalLease(checkpoint)
+            report = _parse_journal(checkpoint, header)
             cells = report.cells
             stats.journal_skipped = len(report.skipped)
             for skip in report.skipped:
@@ -763,7 +725,11 @@ def run_sweep(
                 _sweep_via_service(service, machine, operation, nprocs,
                                    settings, pending, stats, cells, aborted,
                                    journal_cell)
-            elif parallel != 1 and pending:
+            else:
+                # In this process, in input order, when ``parallel``
+                # resolves to one worker; otherwise across the warm pool,
+                # longest cells first.  Either way this is the single
+                # writer that merges and journals the results.
                 pool_report: dict = {}
                 producer = run_cells(
                     machine, operation, nprocs, settings, pending,
@@ -795,24 +761,6 @@ def run_sweep(
                 stats.cells_aborted = pool_report.get("cells_aborted", 0)
                 stats.chunks_quarantined = pool_report.get(
                     "chunks_quarantined", 0)
-            else:
-                prof_base = _PROFILE_DIR.get()
-                for stack, size in pending:
-                    if prof_base is not None:
-                        import cProfile
-
-                        prof = cProfile.Profile()
-                        t = prof.runcall(imb_time, machine, stack, nprocs,
-                                         operation, size, settings)
-                        prof.dump_stats(_profile_path(
-                            prof_base, experiment, machine, stack.name, size))
-                    else:
-                        t = imb_time(machine, stack, nprocs, operation, size,
-                                     settings)
-                    key = f"{stack.name}|{size}"
-                    cells[key] = t
-                    stats.add_cell(imb.consume_cell_stats())
-                    journal_cell(key, t)
     finally:
         if journal is not None:
             journal.close()

@@ -41,14 +41,13 @@ class CommShared:
         self.world = world
         self.cid = cid
         self.world_ranks = list(world_ranks)
+        #: the group never changes after construction (``shrink`` builds a
+        #: new communicator), so its size is a plain attribute
+        self.size = len(self.world_ranks)
         #: shared-memory bulletin board: (seq, rank) -> value (cookie arrays &c.)
         self.board: dict[tuple[int, int], Any] = {}
         #: per-communicator cache for collective topologies / FIFO sets
         self.coll_cache: dict[Any, Any] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.world_ranks)
 
 
 class Comm:
@@ -58,13 +57,10 @@ class Comm:
         self.shared = shared
         self.proc = proc
         self.rank = rank
+        self.size = shared.size
         self._coll_seq = 0
 
     # -- basic facts -----------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self.shared.size
-
     @property
     def cid(self) -> int:
         return self.shared.cid

@@ -355,11 +355,11 @@ def serve(address: str, *, jobs: int = 0, cache_path: Optional[str] = None,
           log: Optional[IO[str]] = None) -> int:
     """Run a sweep server in the foreground until interrupted.
 
-    The ``python -m repro.bench --serve`` / ``python -m repro.service``
-    entry point.  SIGTERM and Ctrl-C set a loop-level stop event rather
-    than raising into whatever task happens to be running, so the server
-    unwinds through the normal stop path (transport → runner/pool →
-    store) and the cache journal ends on a complete record.
+    The ``python -m repro.bench --serve`` entry point.  SIGTERM and
+    Ctrl-C set a loop-level stop event rather than raising into whatever
+    task happens to be running, so the server unwinds through the normal
+    stop path (transport → runner/pool → store) and the cache journal ends
+    on a complete record.
     """
 
     async def main() -> None:

@@ -52,7 +52,7 @@ class ResultStore:
         self.misses = 0
         if path is None:
             return
-        self._lease = harness.acquire_journal_lease(path)
+        self._lease = harness.JournalLease(path)
         try:
             report = harness._parse_journal(path, header=None)
             if report.header not in (None, _STORE_HEADER):

@@ -336,7 +336,7 @@ class Simulator:
         # Hot loop: step() inlined, with the queue bound to locals.  An
         # instant ends when neither tier holds an event due at it; only
         # then does ``now`` advance to the heap's top.  This is where whole
-        # sweeps spend their time; see benchmarks/bench_simcore.py.
+        # sweeps spend their time.
         heap = self._heap
         ready = self._ready
         popleft = ready.popleft

@@ -8,8 +8,7 @@ only the missing cells and produces a byte-identical CSV, a checkpoint
 from a *different* sweep is refused, corrupt *interior* records are
 skipped-and-reported (their cells recompute — never silently wrong
 numbers), a torn final line (crash mid-append) just re-runs that cell, and
-old format-1/2 checkpoints are migrated transparently (format 2, which has
-no checksums, keeps its stricter corrupt-is-a-typed-error contract).
+a journal in any format but 3 is refused with a typed error.
 """
 
 import json
@@ -31,31 +30,31 @@ SETTINGS = ImbSettings(max_iterations=1, warmups=0)
 N_CELLS = len(SIZES) * len(STACKS)
 
 
-def read_journal(path, expect_format=3):
+def read_journal(path):
     """Parse the JSONL journal into (header, cells) like the loader does."""
     lines = open(path).read().splitlines()
     head = json.loads(lines[0])
-    assert head["format"] == expect_format
+    assert head["format"] == 3
     cells = {}
     for line in lines[1:]:
         rec = json.loads(line)
-        if expect_format == 3:
-            assert "ck" in rec  # every format-3 record carries a checksum
+        assert "ck" in rec  # every record carries a checksum
         cells[rec["cell"]] = rec["t"]
     return head["header"], cells
 
 
-def downgrade_to_format2(path):
-    """Rewrite a format-3 journal as its byte-compatible format-2 ancestor."""
-    lines = open(path).read().splitlines()
-    head = json.loads(lines[0])
-    head["format"] = 2
-    out = [json.dumps(head, sort_keys=True)]
-    for line in lines[1:]:
-        rec = json.loads(line)
-        out.append(json.dumps({"cell": rec["cell"], "t": rec["t"]}))
+def rewrite_in_retired_format(path, fmt):
+    """Rewrite a format-3 journal in the layout of format 1 (one JSON
+    document, no ``format`` field) or format 2 (JSONL, no checksums)."""
+    header, cells = read_journal(path)
     with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        if fmt == 1:
+            json.dump({"header": header, "cells": cells}, fh, sort_keys=True)
+            return
+        fh.write(json.dumps({"format": 2, "header": header},
+                            sort_keys=True) + "\n")
+        for key, t in cells.items():
+            fh.write(json.dumps({"cell": key, "t": t}) + "\n")
 
 
 @pytest.fixture
@@ -161,68 +160,6 @@ class TestResume:
         assert res.stats.journal_skipped == 1
         assert [e.category for e in res.stats.events] == ["journal.skip"]
 
-    def test_bad_interior_line_in_format2_is_a_typed_error(
-            self, results_dir):
-        # Format 2 has no checksums, so a malformed interior line keeps
-        # its historical strict contract: typed error, never a guess.
-        ckpt = checkpoint_path("ckpt", "dancer")
-        sweep(checkpoint=ckpt)
-        downgrade_to_format2(ckpt)
-        raw = open(ckpt).read().splitlines(keepends=True)
-        raw[1] = "{ not json\n"
-        with open(ckpt, "w") as fh:
-            fh.writelines(raw)
-        with pytest.raises(BenchmarkError, match="corrupt"):
-            sweep(checkpoint=ckpt)
-
-
-class TestMigration:
-    def test_format1_checkpoint_is_migrated(self, results_dir, monkeypatch):
-        # Build a complete journal, rewrite it in the retired format-1
-        # layout (one JSON document), and resume: no cell re-runs and the
-        # file comes back as a format-3 journal.
-        ckpt = checkpoint_path("ckpt", "dancer")
-        first = sweep(checkpoint=ckpt)
-        header, cells = read_journal(ckpt)
-        with open(ckpt, "w") as fh:
-            json.dump({"header": header, "cells": cells}, fh, sort_keys=True)
-        counter = Interrupter(N_CELLS)
-        monkeypatch.setattr(harness, "imb_time", counter)
-        again = sweep(checkpoint=ckpt)
-        assert counter.calls == 0
-        assert [s.times for s in again.series] == [s.times for s in first.series]
-        migrated_header, migrated_cells = read_journal(ckpt)
-        assert migrated_header == header
-        assert migrated_cells == cells
-
-    def test_format2_checkpoint_is_byte_compatible(
-            self, results_dir, monkeypatch):
-        # A pre-checksum format-2 journal resumes with zero re-runs and
-        # identical times (byte-compatible migration), and compaction
-        # upgrades it to format 3 in place.
-        ckpt = checkpoint_path("ckpt", "dancer")
-        first = sweep(checkpoint=ckpt)
-        downgrade_to_format2(ckpt)
-        header2, cells2 = read_journal(ckpt, expect_format=2)
-        counter = Interrupter(N_CELLS)
-        monkeypatch.setattr(harness, "imb_time", counter)
-        again = sweep(checkpoint=ckpt)
-        assert counter.calls == 0
-        assert [s.times for s in again.series] == [s.times for s in first.series]
-        header3, cells3 = read_journal(ckpt)
-        assert header3 == header2
-        assert cells3 == cells2
-
-    def test_format1_header_mismatch_still_refused(self, results_dir):
-        ckpt = checkpoint_path("ckpt", "dancer")
-        sweep(checkpoint=ckpt)
-        header, cells = read_journal(ckpt)
-        header = dict(header, nprocs=8)
-        with open(ckpt, "w") as fh:
-            json.dump({"header": header, "cells": cells}, fh, sort_keys=True)
-        with pytest.raises(BenchmarkError, match="different sweep"):
-            sweep(checkpoint=ckpt)
-
 
 class TestValidation:
     def test_checkpoint_of_other_sweep_is_refused(self, results_dir):
@@ -247,8 +184,30 @@ class TestValidation:
         ckpt = checkpoint_path("ckpt", "dancer")
         with open(ckpt, "w") as fh:
             fh.write('{"format": 99, "header": {}}\n')
-        with pytest.raises(BenchmarkError, match="corrupt"):
+        with pytest.raises(BenchmarkError, match="format 99"):
             sweep(checkpoint=ckpt)
+
+    @pytest.mark.parametrize("fmt, found", [
+        pytest.param(1, "no format", id="format1"),
+        pytest.param(2, "format 2", id="format2"),
+    ])
+    def test_retired_journal_format_is_refused(self, results_dir, capsys,
+                                               monkeypatch, fmt, found):
+        # Only format 3 is read.  --resume and --verify-journal both refuse
+        # an older journal with a typed error naming the format found; no
+        # cell runs and the file is left as it was.
+        ckpt = checkpoint_path("ckpt", "dancer")
+        sweep(checkpoint=ckpt)
+        rewrite_in_retired_format(ckpt, fmt)
+        before = open(ckpt).read()
+        counter = Interrupter(N_CELLS)
+        monkeypatch.setattr(harness, "imb_time", counter)
+        with pytest.raises(BenchmarkError, match=found):
+            sweep(checkpoint=ckpt)
+        with pytest.raises(BenchmarkError, match=found):
+            bench_main(["--verify-journal", ckpt])
+        assert counter.calls == 0
+        assert open(ckpt).read() == before
 
     def test_missing_checkpoint_starts_fresh(self, results_dir):
         ckpt = checkpoint_path("ckpt", "dancer")

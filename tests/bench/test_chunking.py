@@ -178,6 +178,24 @@ class TestChunkCarving:
         assert sizes[0] >= sizes[-1]
         assert sum(sizes) == 16
 
+    def test_longest_cells_are_queued_first(self):
+        # Descending static cost; the two equal costs keep input order.
+        sched = ChunkScheduler([1, 4, 16, 64, 4], workers=1, oversubscribe=1)
+        assert sched.next_chunk().cells == (3, 2, 1, 4, 0)
+
+    def test_unmeasured_classes_take_the_measured_scale(self):
+        # Once class "a" is measured in seconds, class "b" must not stay
+        # estimated in raw sizes: its queued cell would inflate the
+        # target, and a's small cells would batch into one tail chunk.
+        sched = ChunkScheduler([4, 4, 1, 1, 1, 1], workers=2,
+                               oversubscribe=2,
+                               classes=["a", "b", "a", "a", "a", "b"])
+        assert sched.next_chunk().cells == (0,)
+        assert sched.next_chunk().cells == (1,)
+        sched.record(0, "t")
+        sched.observe(0, 0.004)
+        assert sched.next_chunk().cells == (2,)
+
 
 class TestApiContract:
     def test_record_is_first_wins(self):

@@ -11,11 +11,13 @@ plans inject identically, and a parallel sweep that dies mid-run resumes
 
 import multiprocessing
 import os
+import zlib
 
 import pytest
 
 import repro.bench.harness as harness
-from repro.bench.executor import resolve_jobs, run_experiments
+from repro.bench.cli import main as bench_main
+from repro.bench.executor import resolve_jobs
 from repro.bench.harness import checkpoint_path, run_sweep
 from repro.bench.imb import ImbSettings
 from repro.errors import BenchmarkError, RankFailed
@@ -411,9 +413,33 @@ class TestExecutorApi:
         with pytest.raises(BenchmarkError):
             resolve_jobs(-1)
 
-    def test_run_experiments_preserves_order(self, results_dir):
-        kwargs = {"scale": "smoke", "resume": False, "jobs": 1}
-        specs = [("fig5", "dancer", kwargs), ("fig6", "dancer", kwargs)]
-        results = run_experiments(specs, jobs=2)
-        assert [r.experiment for r in results] == ["fig5", "fig6"]
-        assert all(r.machine == "dancer" for r in results)
+
+def fake_imb_time(machine, stack, nprocs, op, size, settings=None,
+                  iterations=None):
+    """A deterministic, nonzero stand-in for the measurement."""
+    token = f"{machine}|{stack.name}|{nprocs}|{op}|{size}".encode()
+    return 1e-6 * (1 + zlib.crc32(token) % 997) + size * 1e-9
+
+
+@needs_fork
+class TestAllCommand:
+    def test_all_fans_every_sweep_across_the_pool(
+            self, tmp_path, monkeypatch, capsys):
+        # ``all --jobs 2`` runs the same loop as ``--jobs 1``; each sweep
+        # fans its own cells across two warm-pool workers.
+        monkeypatch.setattr(harness, "imb_time", fake_imb_time)
+        csvs, outs = {}, {}
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            monkeypatch.setenv("REPRO_RESULTS_DIR", str(out_dir))
+            assert bench_main(["all", "--machine", "dancer", "--scale",
+                               "smoke", "--csv", "--jobs", jobs,
+                               "--verbose"]) == 0
+            csvs[jobs] = {p.name: p.read_bytes()
+                          for p in sorted(out_dir.glob("*.csv"))}
+            outs[jobs] = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("cells: ")]
+        assert csvs["2"] == csvs["1"]
+        assert len(csvs["2"]) == len(outs["2"]) > 1
+        assert all("pool: 2 workers" in line for line in outs["2"])
+        assert not any("pool:" in line for line in outs["1"])

@@ -2,10 +2,11 @@
 
 import csv
 import os
+import pstats
 
 import pytest
 
-from repro.bench.harness import ExperimentResult, Series, run_sweep
+from repro.bench.harness import ExperimentResult, Series, profile_dir, run_sweep
 from repro.bench.imb import ImbSettings
 from repro.bench.report import render_registration_ablation, render_table1
 from repro.errors import BenchmarkError
@@ -67,6 +68,25 @@ class TestSweep:
     def test_empty_sweep_rejected(self):
         with pytest.raises(BenchmarkError):
             run_sweep("x", "dancer", "bcast", 2, [], [1024])
+
+
+class TestProfile:
+    def test_profile_dir_writes_one_loadable_dump_per_cell(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        prof = tmp_path / "prof"
+        prof.mkdir()
+        with profile_dir(str(prof)):
+            run_sweep(experiment="unit", machine="dancer", operation="bcast",
+                      nprocs=4, stacks=[stacks.KNEM_COLL],
+                      sizes=[32 * KiB, 128 * KiB],
+                      settings=ImbSettings(max_iterations=1, warmups=0))
+        # <machine>_<operation>_<stack>_<size>.pstats, one per cell
+        names = sorted(p.name for p in prof.iterdir())
+        assert names == ["dancer_bcast_KNEM-Coll_131072.pstats",
+                         "dancer_bcast_KNEM-Coll_32768.pstats"]
+        for name in names:
+            assert pstats.Stats(str(prof / name)).total_calls > 0
 
 
 class TestReports:

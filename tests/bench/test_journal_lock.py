@@ -20,11 +20,7 @@ import threading
 import pytest
 
 from repro.bench import harness
-from repro.bench.harness import (
-    acquire_journal_lease,
-    run_sweep,
-    verify_journal,
-)
+from repro.bench.harness import JournalLease, run_sweep, verify_journal
 from repro.bench.imb import ImbSettings
 from repro.errors import BenchmarkError
 from repro.mpi import stacks
@@ -72,9 +68,9 @@ class TestWhyTheLeaseExists:
 
     def test_the_lease_turns_that_race_into_a_typed_error(self, tmp_path):
         path = seeded_journal(tmp_path / "sweep.checkpoint.json")
-        with acquire_journal_lease(path):
+        with JournalLease(path):
             with pytest.raises(BenchmarkError) as err:
-                acquire_journal_lease(path)
+                JournalLease(path)
         assert "locked by another writer" in str(err.value)
         assert "held by pid" in str(err.value)
 
@@ -82,10 +78,10 @@ class TestWhyTheLeaseExists:
 class TestLeaseMechanics:
     def test_release_allows_reacquire(self, tmp_path):
         path = str(tmp_path / "j.checkpoint.json")
-        lease = acquire_journal_lease(path)
+        lease = JournalLease(path)
         lease.release()
         lease.release()  # idempotent
-        with acquire_journal_lease(path):
+        with JournalLease(path):
             pass
 
     def test_lock_lives_on_a_sidecar_not_the_journal(self, tmp_path):
@@ -93,7 +89,7 @@ class TestLeaseMechanics:
         # the journal itself would silently stop excluding anyone after
         # the first compaction.  The sidecar survives replacement.
         path = str(tmp_path / "j.checkpoint.json")
-        with acquire_journal_lease(path) as lease:
+        with JournalLease(path) as lease:
             assert lease._fh is not None
             assert lease._fh.name == path + ".lock"
 
@@ -107,7 +103,7 @@ class TestLeaseMechanics:
             # refused right now, not only at open time.
             if not calls:
                 with pytest.raises(BenchmarkError, match="locked"):
-                    acquire_journal_lease(checkpoint)
+                    JournalLease(checkpoint)
             calls.append(key)
             real_append(fh, key, t)
 
@@ -122,12 +118,12 @@ class TestLeaseMechanics:
             harness._journal_append = real_append
         assert calls  # the spy really ran inside the sweep
         # ... and the lease is gone afterwards: reacquire succeeds.
-        with acquire_journal_lease(checkpoint):
+        with JournalLease(checkpoint):
             pass
 
     def test_two_leases_on_different_journals_coexist(self, tmp_path):
-        with acquire_journal_lease(str(tmp_path / "one.json")):
-            with acquire_journal_lease(str(tmp_path / "two.json")):
+        with JournalLease(str(tmp_path / "one.json")):
+            with JournalLease(str(tmp_path / "two.json")):
                 pass
 
 

@@ -25,7 +25,7 @@ def test_sigterm_with_an_idle_client_connection_exits_clean(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC),
            "REPRO_RESULTS_DIR": str(tmp_path)}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "127.0.0.1:0",
+        [sys.executable, "-m", "repro.bench", "--serve", "127.0.0.1:0",
          "--jobs", "1", "--cache", str(tmp_path / "cache.checkpoint.json")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     try:
