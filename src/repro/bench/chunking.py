@@ -103,8 +103,7 @@ class ChunkScheduler:
     def __init__(self, costs: Sequence[float], workers: int,
                  classes: Optional[Sequence[Hashable]] = None,
                  oversubscribe: int = 4,
-                 retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
-                 chunk_base: int = 0):
+                 retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT):
         if workers < 1:
             raise BenchmarkError(f"chunk scheduler needs >= 1 worker, got {workers}")
         if oversubscribe < 1:
@@ -133,9 +132,7 @@ class ChunkScheduler:
             sorted(range(n), key=lambda c: -self._base[c]))
         self._outstanding: dict[int, tuple[int, ...]] = {}
         self._results: dict[int, Any] = {}
-        # chunk_base offsets ids so schedulers sharing one persistent
-        # pool (the sweep service) never issue the same chunk id twice.
-        self._next_chunk_id = chunk_base
+        self._next_chunk_id = 0
         #: worker deaths charged to each cell (unrecorded when its chunk
         #: failed); reaching ``retry_limit`` quarantines the cell.
         self._deaths: dict[int, int] = {}

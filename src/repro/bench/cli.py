@@ -14,7 +14,9 @@ Exit codes: 0 success; 2 usage error; 3 when any sweep cell was
 quarantined as a typed abort (the CSV is incomplete — re-run with
 ``--resume`` after fixing the cause); 4 under ``--strict`` when any cell
 degraded KNEM health mid-measurement; 5 when ``--verify-journal`` found
-corrupt or torn records (all recoverable by ``--resume`` recompute).
+corrupt or torn records (all recoverable by ``--resume`` recompute); 6
+when the run is refused with a typed error, such as a checkpoint journal
+of another sweep or in a retired format (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import sys
 from repro.bench.experiments import (
     EXPERIMENTS,
     MACHINE_RANKS,
-    PAPER_EXPECTATIONS,
+    TABLE1_PAPER,
     table1,
 )
 from repro.bench.harness import profile_dir, verify_journal
 from repro.bench.report import render_table1
+from repro.errors import BenchmarkError
 
 __all__ = ["main"]
 
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_ABORTED = 3
 EXIT_DEGRADED = 4
 EXIT_JOURNAL_DAMAGED = 5
+EXIT_REFUSED = 6
 
 
 def _print_result(result, csv: bool, verbose: bool) -> None:
@@ -155,6 +159,16 @@ def main(argv: list[str] | None = None) -> int:
         help="print simulator counters (events, resumes, peak heap) and "
              "events/sec per experiment")
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args, parser)
+    except BenchmarkError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_REFUSED
+
+
+def _dispatch(args: argparse.Namespace,
+              parser: argparse.ArgumentParser) -> int:
+    """Serve, verify a journal, or run the experiment the arguments name."""
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
     if args.serve is not None:
@@ -210,7 +224,7 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 parser.error("table1 runs on zoot or ig")
             rows = table1(machine, scale=args.scale, sample=args.sample)
             print(render_table1(machine, rows,
-                                paper=PAPER_EXPECTATIONS["table1"][machine]))
+                                paper=TABLE1_PAPER[machine]))
             print()
         return EXIT_OK
 

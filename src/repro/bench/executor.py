@@ -348,7 +348,6 @@ def run_cells(
     report: Optional[dict] = None,
     retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
     pool: Optional[WarmPool] = None,
-    chunk_base: int = 0,
 ) -> Iterator[tuple[str, Any, Any]]:
     """Yield ``(cell key, seconds | CellAborted, CellStats|None)`` per cell.
 
@@ -372,8 +371,6 @@ def run_cells(
     (the sweep service's): the run tags its chunks with a fresh pool
     generation, filters out any late flushes from prior generations, and
     leaves the pool running afterwards instead of shutting it down.
-    ``chunk_base`` offsets chunk ids so runs sharing a pool never reuse
-    one (defence in depth on top of the generation filter).
     """
     tasks = [(machine, stack, nprocs, operation, size, settings)
              for stack, size in cells]
@@ -407,7 +404,6 @@ def run_cells(
         workers=n,
         classes=[stack.name for stack, _size in cells],
         retry_limit=retry_limit,
-        chunk_base=chunk_base,
     )
     if not external_pool:
         pool = WarmPool(n)

@@ -1,15 +1,15 @@
 """The paper's experiments: one entry per figure/table plus ablations.
 
 Each experiment returns an :class:`~repro.bench.harness.ExperimentResult`
-(figures) or a dict (Table I / ablations) and accepts a ``scale`` knob:
+(figures, ablations) or a dict (Table I) and accepts a ``scale`` knob:
 
 - ``scale="full"``   — paper-size grids (slow; use the CLI overnight);
-- ``scale="bench"``  — reduced iteration counts, full size range (the
-  pytest-benchmark targets use this);
+- ``scale="bench"``  — reduced iteration counts, every other grid point
+  (the committed ``results/*.csv``);
 - ``scale="smoke"``  — minimal grid for CI smoke tests.
 
-Expected shapes (from the paper) are encoded in ``PAPER_EXPECTATIONS`` so
-benches and EXPERIMENTS.md can compare measured against published claims.
+The paper's claims about these results are checked, row by row, against
+the committed CSVs by ``tests/integration/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.units import KiB, MiB
 
 __all__ = [
     "SCALES",
-    "PAPER_EXPECTATIONS",
+    "TABLE1_PAPER",
     "figure4",
     "figure5",
     "figure6",
@@ -33,8 +33,6 @@ __all__ = [
     "figure8",
     "table1",
     "ablation_direction",
-    "ablation_registration",
-    "ablation_topology",
     "ablation_rotation",
     "EXPERIMENTS",
 ]
@@ -49,23 +47,12 @@ FIG4_SIZES = [512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 8 * MiB]
 #: ranks used per machine (one per core, Section VI-A)
 MACHINE_RANKS = {"zoot": 16, "dancer": 8, "saturn": 16, "ig": 48}
 
-#: Published claims, for EXPERIMENTS.md and shape assertions.
-PAPER_EXPECTATIONS = {
-    "fig4": "hierarchy alone 2.2-2.4x over linear; pipelining an extra up to 1.25x; "
-            "best pipeline 16K (intermediate sizes) / 512K (large)",
-    "fig5": {"zoot": (1.0, 2.5), "dancer": (1.2, 2.8), "saturn": (1.0, 1.8),
-             "ig": (1.5, 2.1)},
-    "fig6": {"zoot": 3.1, "dancer": 2.2, "saturn": 2.6, "ig": 3.2},
-    "scatter": {"zoot": 3.0, "dancer": 2.0, "saturn": 4.0, "ig": 4.0},
-    "fig7": {"zoot": 2.0, "dancer": 1.9, "saturn": 1.25, "ig": 2.7},
-    "fig8": "KNEM AllGather best on Zoot/Dancer/Saturn (except some medium sizes); "
-            "Tuned-KNEM up to 25% better on IG",
-    "table1": {
-        "zoot": {"Open MPI": (405.7, 2891.2), "MPICH2": (152.3, 2640.4),
-                 "KNEM Coll": (26.8, 2508.4)},
-        "ig": {"Open MPI": (550.2, 6650.9), "MPICH2": (293.9, 6413.8),
-               "KNEM Coll": (198.0, 6288.1)},
-    },
+#: Table I as published: library -> (Bcast seconds, Total seconds).
+TABLE1_PAPER = {
+    "zoot": {"Open MPI": (405.7, 2891.2), "MPICH2": (152.3, 2640.4),
+             "KNEM Coll": (26.8, 2508.4)},
+    "ig": {"Open MPI": (550.2, 6650.9), "MPICH2": (293.9, 6413.8),
+           "KNEM Coll": (198.0, 6288.1)},
 }
 
 
@@ -234,44 +221,6 @@ def ablation_direction(machine: str = "zoot", scale: str = "bench",
     )
 
 
-def ablation_registration(machine: str = "dancer", scale: str = "bench") -> dict:
-    """Registration counts: KNEM-Coll persistent region vs p2p per-message.
-
-    Returns driver statistics for one broadcast under both stacks.
-    """
-    from repro.mpi.runtime import Job, Machine
-
-    msg = 4 * MiB
-    out = {}
-    for stack in (stk.KNEM_COLL, stk.TUNED_KNEM):
-        machine_obj = Machine.build(machine)
-        job = Job(machine_obj, nprocs=MACHINE_RANKS[machine], stack=stack)
-
-        def prog(proc):
-            buf = proc.alloc(msg, backed=False)
-            yield from proc.comm.bcast(buf, 0, msg, root=0)
-
-        job.run(prog)
-        out[stack.name] = {
-            "registrations": machine_obj.knem.stats_registrations,
-            "kernel_copies": machine_obj.knem.stats_copies,
-        }
-    return out
-
-
-def ablation_topology(scale: str = "bench",
-                      resume: bool = False, jobs: int = 1,
-                      service: Optional[str] = None) -> ExperimentResult:
-    """IG Broadcast: topology-aware tree vs logical rank-order tree."""
-    return _paper_grid(
-        "abl-topology", "bcast", "ig", scale, resume=resume, jobs=jobs,
-        service=service,
-        stacks=[stk.KNEM_COLL.with_tuning(name="KNEM-rank-order",
-                                          topology_aware=False),
-                stk.KNEM_COLL],
-    )
-
-
 def ablation_rotation(machine: str = "ig", scale: str = "bench",
                       resume: bool = False, jobs: int = 1,
                       service: Optional[str] = None) -> ExperimentResult:
@@ -294,6 +243,5 @@ EXPERIMENTS = {
     "fig7": (figure7, True),
     "fig8": (figure8, True),
     "abl-direction": (ablation_direction, True),
-    "abl-topology": (ablation_topology, False),
     "abl-rotation": (ablation_rotation, True),
 }

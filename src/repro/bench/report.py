@@ -1,5 +1,4 @@
-"""Rendering for non-sweep results (Table I, ablations) and comparisons
-against the paper's published numbers."""
+"""Rendering of Table I beside the paper's published numbers."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ from typing import Mapping
 
 from repro.units import fmt_time
 
-__all__ = ["render_table1", "render_registration_ablation"]
+__all__ = ["render_table1"]
 
 
 def render_table1(machine: str, rows: Mapping[str, Mapping[str, float]],
@@ -39,13 +38,3 @@ def render_table1(machine: str, rows: Mapping[str, Mapping[str, float]],
         lines.append(f"{'Improvement':>12} {imp_b:>11.1f}% {imp_t:>11.1f}%")
     return "\n".join(lines)
 
-
-def render_registration_ablation(stats: Mapping[str, Mapping[str, int]]) -> str:
-    """Registration-count comparison (persistent regions vs per-message)."""
-    lines = ["KNEM region registrations for one broadcast"]
-    header = f"{'stack':>12} {'registrations':>14} {'kernel copies':>14}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, s in stats.items():
-        lines.append(f"{name:>12} {s['registrations']:>14} {s['kernel_copies']:>14}")
-    return "\n".join(lines)

@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.bench.chunking import DEFAULT_RETRY_LIMIT, CellAborted
+from repro.bench.chunking import CellAborted
 from repro.bench.executor import WarmPool, _run_cell, resolve_jobs, run_cells
 
 __all__ = ["ComputeJob", "PoolRunner"]
@@ -68,13 +68,10 @@ class PoolRunner:
     hits the cache never forks at all.
     """
 
-    def __init__(self, jobs: int = 0,
-                 retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT):
+    def __init__(self, jobs: int = 0):
         self._jobs = resolve_jobs(jobs)
-        self._retry_limit = retry_limit
         self._queue: queue.Queue = queue.Queue()
         self._pool: Optional[WarmPool] = None
-        self._chunk_base = 0
         self._thread: Optional[threading.Thread] = None
         #: cells computed by this runner (the server's "did the pool run"
         #: counter — cache hits never reach it)
@@ -167,13 +164,10 @@ class PoolRunner:
                 except BaseException as exc:
                     job.done(exc)
             return
-        report: dict = {}
         pending = dict(by_label)
         producer = run_cells(
             first.machine, first.operation, first.nprocs, first.settings,
-            [(job.stack, job.size) for job in jobs],
-            jobs=0, report=report, retry_limit=self._retry_limit,
-            pool=pool, chunk_base=self._chunk_base)
+            [(job.stack, job.size) for job in jobs], jobs=0, pool=pool)
         try:
             for label, t, stats in producer:
                 job = pending.pop(label, None)
@@ -192,4 +186,3 @@ class PoolRunner:
             pending.clear()
         finally:
             producer.close()
-            self._chunk_base += report.get("chunks", 0)

@@ -28,7 +28,7 @@ import threading
 import time
 from typing import IO, Optional
 
-from repro.bench.chunking import DEFAULT_RETRY_LIMIT, CellAborted
+from repro.bench.chunking import CellAborted
 from repro.errors import BenchmarkError
 from repro.service import protocol
 from repro.service.runner import ComputeJob, PoolRunner
@@ -41,10 +41,9 @@ class SweepServer:
     """The persistent sweep server (scheduler + glue over store/runner)."""
 
     def __init__(self, jobs: int = 0, cache_path: Optional[str] = None,
-                 retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
                  log: Optional[IO[str]] = None):
         self.store = ResultStore(cache_path)
-        self.runner = PoolRunner(jobs=jobs, retry_limit=retry_limit)
+        self.runner = PoolRunner(jobs=jobs)
         self._inflight: dict[str, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._clients: set[asyncio.Task] = set()   # connection handlers
@@ -310,7 +309,6 @@ class ServerHandle:
 
 def start_in_thread(address: str = "127.0.0.1:0", *, jobs: int = 0,
                     cache_path: Optional[str] = None,
-                    retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
                     log: Optional[IO[str]] = None) -> ServerHandle:
     """Start a :class:`SweepServer` on a fresh daemon event-loop thread.
 
@@ -324,8 +322,7 @@ def start_in_thread(address: str = "127.0.0.1:0", *, jobs: int = 0,
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         try:
-            server = SweepServer(jobs=jobs, cache_path=cache_path,
-                                 retry_limit=retry_limit, log=log)
+            server = SweepServer(jobs=jobs, cache_path=cache_path, log=log)
             holder["address"] = loop.run_until_complete(
                 server.start(address))
             holder["loop"] = loop
@@ -351,7 +348,6 @@ def start_in_thread(address: str = "127.0.0.1:0", *, jobs: int = 0,
 
 
 def serve(address: str, *, jobs: int = 0, cache_path: Optional[str] = None,
-          retry_limit: Optional[int] = DEFAULT_RETRY_LIMIT,
           log: Optional[IO[str]] = None) -> int:
     """Run a sweep server in the foreground until interrupted.
 
@@ -367,8 +363,7 @@ def serve(address: str, *, jobs: int = 0, cache_path: Optional[str] = None,
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, stop.set)
-        server = SweepServer(jobs=jobs, cache_path=cache_path,
-                             retry_limit=retry_limit, log=log)
+        server = SweepServer(jobs=jobs, cache_path=cache_path, log=log)
         bound = await server.start(address)
         print(f"sweep server listening on {bound}", flush=True)
         try:

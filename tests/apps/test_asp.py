@@ -1,4 +1,5 @@
-"""ASP application: distributed result vs oracle, timing-mode behaviour."""
+"""ASP application: distributed result vs oracle, timing-mode behaviour,
+and the claims of the paper's Table I."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.apps.asp import (
     run_asp,
     run_asp_timed,
 )
+from repro.bench.experiments import table1
 from repro.errors import BenchmarkError
 from repro.mpi import stacks
 
@@ -133,3 +135,21 @@ class TestTimedMode:
         with pytest.raises(BenchmarkError):
             run_asp_timed("dancer", stacks.KNEM_COLL,
                           AspConfig(n=64, nprocs=4), sample=0)
+
+
+class TestTableOne:
+    """Table I at the paper's problem sizes, sampled: KNEM-Coll spends the
+    least time broadcasting, keeps the best total against Open MPI, and
+    the calibrated compute (total minus bcast) matches the paper's."""
+
+    @pytest.mark.parametrize("machine, sample, compute", [
+        ("zoot", 512, 2485.0),
+        ("ig", 1024, 6090.0),
+    ])
+    def test_knem_coll_broadcasts_least(self, machine, sample, compute):
+        rows = table1(machine, sample=sample)
+        knem = rows["KNEM Coll"]
+        assert knem["bcast"] < rows["Open MPI"]["bcast"]
+        assert knem["bcast"] < rows["MPICH2"]["bcast"]
+        assert knem["total"] < rows["Open MPI"]["total"]
+        assert knem["total"] - knem["bcast"] == pytest.approx(compute, rel=0.05)

@@ -17,6 +17,7 @@ import os
 import pytest
 
 import repro.bench.harness as harness
+from repro.bench.cli import EXIT_REFUSED
 from repro.bench.cli import main as bench_main
 from repro.bench.harness import checkpoint_path, run_sweep, verify_journal
 from repro.bench.imb import ImbSettings
@@ -204,8 +205,9 @@ class TestValidation:
         monkeypatch.setattr(harness, "imb_time", counter)
         with pytest.raises(BenchmarkError, match=found):
             sweep(checkpoint=ckpt)
-        with pytest.raises(BenchmarkError, match=found):
-            bench_main(["--verify-journal", ckpt])
+        capsys.readouterr()
+        assert bench_main(["--verify-journal", ckpt]) == EXIT_REFUSED
+        assert found in capsys.readouterr().err
         assert counter.calls == 0
         assert open(ckpt).read() == before
 
@@ -324,6 +326,30 @@ class TestCli:
         with pytest.raises(SystemExit) as exc_info:
             bench_main(["fig4", "--verify-journal", "x.json"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("case", ["verify-format2", "resume-other-sweep"])
+    def test_typed_refusal_is_one_error_line(self, results_dir, capsys,
+                                             monkeypatch, case):
+        # A refused journal exits 6 with one ``error:`` line on stderr,
+        # not a traceback, and runs no cell.
+        ckpt = checkpoint_path("fig5", "dancer")
+        if case == "verify-format2":
+            with open(ckpt, "w") as fh:
+                fh.write('{"format": 2, "header": {}}\n')
+            argv, found = ["--verify-journal", ckpt], "format 2"
+        else:
+            sweep(checkpoint=ckpt)  # a 4-rank sweep, not fig5's 8 ranks
+            argv = ["fig5", "--machine", "dancer", "--scale", "smoke",
+                    "--resume"]
+            found = "different sweep"
+        monkeypatch.setattr(harness, "imb_time", Interrupter(0))
+        capsys.readouterr()
+        assert bench_main(argv) == EXIT_REFUSED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert found in captured.err
 
     def test_missing_experiment_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench.harness import ExperimentResult, Series, profile_dir, run_sweep
 from repro.bench.imb import ImbSettings
-from repro.bench.report import render_registration_ablation, render_table1
+from repro.bench.report import render_table1
 from repro.errors import BenchmarkError
 from repro.mpi import stacks
 from repro.units import KiB
@@ -100,13 +100,6 @@ class TestReports:
         assert "Improvement" in text
         assert "80.0%" in text  # (5 - 1) / 5
         assert "405.7" in text
-
-    def test_registration_render(self):
-        text = render_registration_ablation({
-            "KNEM-Coll": {"registrations": 2, "kernel_copies": 10},
-            "Tuned-KNEM": {"registrations": 14, "kernel_copies": 14},
-        })
-        assert "KNEM-Coll" in text and "14" in text
 
 
 class TestCli:

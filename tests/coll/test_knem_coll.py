@@ -36,6 +36,18 @@ class TestPersistentRegistration:
         assert machine.knem.stats_registrations == 2
         assert machine.knem.stats_copies >= 7
 
+    @pytest.mark.parametrize("stack, registrations", [
+        (stacks.KNEM_COLL, 2),
+        (stacks.TUNED_KNEM, 224),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_4mib_bcast_registrations(self, stack, registrations):
+        """Persistent regions against per-message registration: one 4 MiB
+        broadcast on dancer's 8 ranks registers 2 regions under KNEM-Coll
+        (root + one leader) and 224 under Tuned-KNEM, one per KNEM
+        point-to-point message."""
+        machine, _ = run_on("dancer", 8, stack, bcast_prog, 4 * MiB)
+        assert machine.knem.stats_registrations == registrations
+
     def test_p2p_path_registers_per_peer(self):
         machine, _ = run_on("dancer", 8, stacks.TUNED_KNEM, bcast_prog, 1 * MiB)
         assert machine.knem.stats_registrations > 1

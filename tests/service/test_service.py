@@ -137,6 +137,33 @@ class TestEquivalence:
         assert counters["store"]["entries"] == N_CELLS
 
 
+class TestCliConnect:
+    def test_connected_cli_writes_the_in_process_csv(self, tmp_path,
+                                                     monkeypatch):
+        # The CLI's --connect path, run twice against one server: both
+        # runs write the in-process run's CSV bytes, and the second is
+        # answered from the cache without computing a cell.
+        from repro.bench.cli import main
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        csv_path = tmp_path / "fig5_dancer.csv"
+        argv = ["fig5", "--machine", "dancer", "--scale", "smoke", "--csv"]
+        assert main(argv) == 0
+        local = csv_path.read_bytes()
+        n_cells = 10  # 5 stacks x 2 smoke sizes
+        computed = []
+        with start_in_thread(jobs=1) as handle:
+            for _ in range(2):
+                csv_path.unlink()
+                assert main(argv + ["--connect", handle.address]) == 0
+                assert csv_path.read_bytes() == local
+                computed.append(handle.counters()["cells_computed"])
+            counters = handle.counters()
+        assert computed == [n_cells, n_cells]
+        assert counters["cells_served"] == 2 * n_cells
+        assert counters["cache_hits"] == n_cells
+
+
 class TestTransport:
     def test_ping_reports_counters(self):
         with start_in_thread(jobs=1) as handle:
