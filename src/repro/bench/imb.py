@@ -211,7 +211,10 @@ def imb_time(
     if settings.fault_plan is not None:
         machine.arm_faults(settings.fault_plan.fork())
     job = Job(machine, nprocs=nprocs, stack=stack)
-    result = job.run(_imb_program, op, msg_size, iters, settings)
+    try:
+        result = job.run(_imb_program, op, msg_size, iters, settings)
+    finally:
+        job.close()
     global _last_cell_stats
     sim = machine.sim
     _last_cell_stats = CellStats(

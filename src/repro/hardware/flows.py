@@ -204,7 +204,9 @@ class FlowNetwork:
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
-        done = Event(self.sim, name=f"flow:{label}")
+        # Named by the bare label: formatting a name per copy is paid on
+        # every transfer and read only by a deadlock report.
+        done = Event(self.sim, label)
         if nbytes == 0:
             self.sim.schedule(latency, lambda: done.succeed(None))
             return done

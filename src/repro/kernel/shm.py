@@ -77,10 +77,11 @@ def latency_table(spec: MachineSpec) -> dict[tuple[int, int], float]:
 class Mailbox:
     """A small-message channel into one process (control traffic only).
 
-    ``post`` charges the sender the store cost and delivers the payload
-    after the core-to-core latency; ``recv`` blocks the receiver until a
-    message is available (the poll granularity models the MPI progression
-    loop's busy-wait).
+    A post is two calls from the sender's own frame: ``yield
+    box.store(core)`` charges the sender the store cost, then
+    ``box.deliver(core, payload)`` lands the payload after the core-to-core
+    latency.  ``recv`` blocks the receiver until a message is available
+    (the poll granularity models the MPI progression loop's busy-wait).
     """
 
     def __init__(self, sim: Simulator, spec: MachineSpec, owner_core: int,
@@ -109,16 +110,24 @@ class Mailbox:
     def _arrive(self, event: Event) -> None:
         self._channel.put(event._value)
 
-    def post(self, sender_core: int, payload: Any):
-        """Sender-side deposit; generator (``yield from``), returns None."""
+    def store(self, sender_core: int) -> Timeout:
+        """Sender side, first half of a post: the cache-line store.
+
+        Returns the store's delay for the sender to yield; once it has
+        fired, :meth:`deliver` sends the payload on its way.
+        """
         self.posted += 1
         tr = self.tracer
         if tr.enabled:
             tr.emit("shm.post", box=self.name, src_core=sender_core,
                     dst_core=self.owner_core)
         else:
-            tr.tick("shm.post")
-        yield self.sim.timeout(self.costs.mailbox_write)
+            tr.counters["shm.post"] += 1
+        return Timeout(self.sim, self.costs.mailbox_write)
+
+    def deliver(self, sender_core: int, payload: Any) -> None:
+        """Sender side, second half of a post (after :meth:`store`): the
+        payload arrives after the core-to-core latency."""
         arrival = Timeout(self.sim, self._latency_from(sender_core), payload,
                           name=self.name)
         arrival.callbacks = [self._arrive]
@@ -131,7 +140,7 @@ class Mailbox:
             tr.emit("shm.post", box=self.name, src_core=sender_core,
                     dst_core=self.owner_core)
         else:
-            tr.tick("shm.post")
+            tr.counters["shm.post"] += 1
         delay = self.costs.mailbox_write + self._latency_from(sender_core)
         arrival = Timeout(self.sim, delay, payload, name=self.name)
         arrival.callbacks = [self._arrive]

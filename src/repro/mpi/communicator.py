@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.errors import (
-    CommunicatorError,
-    ProcessKilled,
-    RankCrashed,
-    RankFailed,
-)
+from repro.errors import CommunicatorError, RankCrashed, RankFailed
 from repro.hardware.memory import SimBuffer
 from repro.mpi.matching import ANY_SOURCE, ANY_TAG
 from repro.mpi.status import Request, Status
@@ -91,7 +86,7 @@ class Comm:
         """Blocking buffer receive (generator); returns :class:`Status`."""
         nbytes = buf.size - offset if nbytes is None else nbytes
         src = source if source == ANY_SOURCE else self._check_rank(source)
-        status = yield from self.proc.pml.recv(self.cid, src, tag, buf,
+        status = yield self.proc.pml.post_recv(self.cid, src, tag, buf,
                                                offset, nbytes)
         return status
 
@@ -103,7 +98,7 @@ class Comm:
     def recv_obj(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Receive an object message (generator); returns ``(obj, status)``."""
         src = source if source == ANY_SOURCE else self._check_rank(source)
-        status = yield from self.proc.pml.recv(self.cid, src, tag,
+        status = yield self.proc.pml.post_recv(self.cid, src, tag,
                                                want_object=True)
         return status.payload, status
 
@@ -310,20 +305,7 @@ class Comm:
         req = Request(sim, kind)
         child = sim.process(gen, name=f"{kind}[{self.rank}]",
                             owner=self.proc.rank)
-
-        def finish(ev):
-            if ev.ok:
-                req._finish(None)
-            else:
-                req.event.fail(ev.value)
-                if isinstance(ev.value, (RankCrashed, RankFailed,
-                                         ProcessKilled)):
-                    # A crash-path failure may go unobserved (the waiting
-                    # program itself died): don't let it abort the whole
-                    # simulation when the event is processed.
-                    req.event._defused = True
-
-        child.add_callback(finish)
+        child.add_callback(req.follow)
         return req
 
     def ibcast(self, buf: SimBuffer, offset: int, nbytes: int,
@@ -529,13 +511,13 @@ class CollCtx:
         n = self.size
         if n == 1:
             return
+        comm = self.comm
         round_no = 0
         dist = 1
         while dist < n:
-            dest = (self.rank + dist) % n
-            src = (self.rank - dist) % n
-            sreq = self.comm.isend_obj(dest, None, tag=self.tag(phase_base + round_no))
-            _obj, _st = yield from self.recv_obj(src, phase=phase_base + round_no)
+            tag = self.tag(phase_base + round_no)
+            sreq = comm.isend_obj((comm.rank + dist) % n, None, tag=tag)
+            yield from comm.recv_obj((comm.rank - dist) % n, tag=tag)
             yield sreq.event
             dist <<= 1
             round_no += 1

@@ -30,19 +30,14 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.errors import (
-    FaultInjected,
-    MpiError,
-    ProcessKilled,
-    RankCrashed,
-    RankFailed,
-    TruncationError,
-)
+from repro.errors import FaultInjected, MpiError, TruncationError
 from repro.hardware.memory import SimBuffer
 from repro.kernel.knem import PROT_READ
 from repro.mpi.envelope import EAGER, FIN, RETX, RTS_KNEM, RTS_SM, Envelope, make_fin
-from repro.mpi.matching import ANY_SOURCE, ANY_TAG, MatchEngine, PostedRecv
+from repro.mpi.matching import ANY_SOURCE, MatchEngine, PostedRecv
 from repro.mpi.status import Request, Status
+from repro.simtime.core import _NO_CBS, PENDING, Event, Timeout
+from repro.simtime.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.runtime import Proc, World
@@ -59,6 +54,27 @@ OBJECT_NBYTES = 8
 _hb_seq = itertools.count(1)
 
 
+class _Fin(Event):
+    """A rendezvous send's wait for its FIN, named ``fin:<seq>`` only when
+    a diagnostic reads the name."""
+
+    __slots__ = ("seq",)
+
+    def __init__(self, sim, seq: int):
+        self.sim = sim
+        self.callbacks = _NO_CBS
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self._abandoned = False
+        self._pwait = None
+        self.seq = seq
+
+    @property
+    def name(self) -> str:
+        return f"fin:{self.seq}"
+
+
 class PmlEndpoint:
     """One per process: owns the mailbox, matching state, and progress loop."""
 
@@ -67,6 +83,7 @@ class PmlEndpoint:
         self.world = world
         self.machine = world.machine
         self.sim = world.machine.sim
+        self.tracer = world.machine.tracer
         self.stack = world.stack
         self.mailbox = world.machine.shm.mailbox(("pml", proc.rank), proc.core)
         self.engines: dict[int, MatchEngine] = {}
@@ -81,6 +98,10 @@ class PmlEndpoint:
         # before a large one).  Tickets are taken synchronously in program
         # order and chained.
         self._send_order: dict[int, Any] = {}
+        #: dest world rank -> the names of the (ordering ticket, isend
+        #: process) toward it, built on the first send to that peer
+        self._peer_names: dict[int, tuple[str, str]] = {}
+        self._deliver_name = f"deliver[{proc.rank}]"
         # A single-threaded MPI process performs one memcpy/ioctl at a time:
         # concurrent protocol engines (isends, matched deliveries) interleave
         # their copies on this per-process CPU lock rather than running as
@@ -90,8 +111,15 @@ class PmlEndpoint:
         self.cpu = Semaphore(world.machine.sim, 1, name=f"cpu[{proc.rank}]")
         self.sent_messages = 0
         self.received_messages = 0
-        self.sim.process(self._progress(), name=f"pml[{proc.rank}]",
-                         daemon=True, owner=proc.rank)
+        self._daemon = self.sim.process(self._progress(),
+                                        name=f"pml[{proc.rank}]",
+                                        daemon=True, owner=proc.rank)
+
+    def close(self) -> None:
+        """End the progress daemon and drop the references up to the
+        process and its world (part of :meth:`Job.close`)."""
+        self._daemon.close()
+        self.proc = self.world = None
 
     def _cpu_copy(self, event_factory):
         """Run one copy (given as a zero-arg factory returning the completion
@@ -102,11 +130,13 @@ class PmlEndpoint:
         finally:
             self.cpu.release()
 
-    def _take_ticket(self, dest_world: int):
-        prev = self._send_order.get(dest_world)
-        mine = self.sim.event(name=f"sendorder[{self.proc.rank}->{dest_world}]")
-        self._send_order[dest_world] = mine
-        return prev, mine
+    def _name_peer(self, dest_world: int) -> tuple[str, str]:
+        """Build (once per peer) the names of the ordering tickets and
+        isend processes toward ``dest_world``."""
+        pair = f"{self.proc.rank}->{dest_world}"
+        names = self._peer_names[dest_world] = (f"sendorder[{pair}]",
+                                                f"isend[{pair}]")
+        return names
 
     # ------------------------------------------------------------------ send
     def send(
@@ -129,22 +159,27 @@ class PmlEndpoint:
         lands at the *call site* in the sender's program order (isend
         protocols run later, as child processes).
         """
-        ticket = self._take_ticket(dest_world)
+        names = (self._peer_names.get(dest_world)
+                 or self._name_peer(dest_world))
+        order = self._send_order
+        mine = Event(self.sim, names[0])
+        ticket = (order.get(dest_world), mine)
+        order[dest_world] = mine
         hb = next(_hb_seq)
-        tr = self.machine.tracer
+        tr = self.tracer
         if tr.enabled:
             tr.emit("mpi.send", src=self.proc.rank, dst=dest_world, hb=hb)
         else:
-            tr.tick("mpi.send")
+            tr.counters["mpi.send"] += 1
         return self._send_impl(ticket, cid, src_rank, dest_world, tag, buf,
                                offset, nbytes, obj, hb)
 
     def _retire_ticket(self, ticket) -> None:
         """Vacate an ordering slot whose send died before posting.
 
-        A killed send (rank crash, collective abort) that never reached
-        :meth:`_post_ordered` would otherwise gate every later send to the
-        same peer forever.  The slot is released only once the predecessor
+        A killed send (rank crash, collective abort) that never posted its
+        envelope would otherwise gate every later send to the same peer
+        forever.  The slot is released only once the predecessor
         has posted, so live sends can never overtake each other through a
         dead one.
         """
@@ -159,52 +194,69 @@ class PmlEndpoint:
 
     def _send_impl(self, ticket, cid, src_rank, dest_world, tag, buf, offset,
                    nbytes, obj, hb):
-        """Blocking send (generator).  Object mode when ``obj`` is given."""
+        """Blocking send (generator).  Object mode when ``obj`` is given.
+
+        An object or inline message is sent from this one frame: the
+        software overhead, the ordered injection and the mailbox store.
+        Larger messages hand over to their protocol after the overhead.
+        """
         self.sent_messages += 1
+        stack = self.stack
         try:
             if obj is not _NO_OBJECT:
-                yield self.sim.timeout(self.stack.sw_send_eager)
-                yield from self._send_inline(ticket, cid, src_rank, dest_world,
-                                             tag, OBJECT_NBYTES, obj,
-                                             is_object=True, hb=hb)
-                self._emit_send_done(hb)
-                return
-            if buf is None:
-                raise MpiError("buffer send requires a SimBuffer")
-            buf.check_range(offset, nbytes)
-            stack = self.stack
-            if nbytes <= stack.eager_limit:
-                yield self.sim.timeout(stack.sw_send_eager)
+                yield Timeout(self.sim, stack.sw_send_eager)
+                nbytes, payload, is_object = OBJECT_NBYTES, obj, True
             else:
-                yield self.sim.timeout(stack.sw_send_rndv)
-            if nbytes <= stack.inline_limit:
-                payload = None
-                if buf.backed:
-                    payload = bytes(buf.data[offset: offset + nbytes])
-                yield from self._send_inline(ticket, cid, src_rank, dest_world,
-                                             tag, nbytes, payload,
-                                             is_object=False, hb=hb)
-            elif nbytes <= stack.eager_limit:
-                yield from self._send_eager(ticket, cid, src_rank, dest_world,
-                                            tag, buf, offset, nbytes, hb)
-            elif stack.use_knem_btl and nbytes >= stack.knem_threshold:
-                yield from self._send_knem(ticket, cid, src_rank, dest_world,
-                                           tag, buf, offset, nbytes, hb)
+                if buf is None:
+                    raise MpiError("buffer send requires a SimBuffer")
+                buf.check_range(offset, nbytes)
+                if nbytes <= stack.eager_limit:
+                    yield Timeout(self.sim, stack.sw_send_eager)
+                else:
+                    yield Timeout(self.sim, stack.sw_send_rndv)
+                if nbytes > stack.inline_limit:
+                    if nbytes <= stack.eager_limit:
+                        protocol = self._send_eager
+                    elif stack.use_knem_btl and nbytes >= stack.knem_threshold:
+                        protocol = self._send_knem
+                    else:
+                        protocol = self._send_sm
+                    yield from protocol(ticket, cid, src_rank, dest_world,
+                                        tag, buf, offset, nbytes, hb)
+                    self._emit_send_done(hb)
+                    return
+                payload = (bytes(buf.data[offset: offset + nbytes])
+                           if buf.backed else None)
+                is_object = False
+            env = Envelope(kind=EAGER, cid=cid, src=src_rank, tag=tag,
+                           nbytes=nbytes, payload=payload,
+                           reply_to=self.proc.rank, is_object=is_object, hb=hb)
+            # _post_ordered's injection, inline: the envelope is the message.
+            prev, mine = ticket
+            if prev is not None and not prev.processed:
+                yield prev
+            tr = self.tracer
+            if tr.enabled:
+                tr.emit("mpi.inject", src=self.proc.rank, hb=hb)
             else:
-                yield from self._send_sm(ticket, cid, src_rank, dest_world,
-                                         tag, buf, offset, nbytes, hb)
+                tr.counters["mpi.inject"] += 1
+            box = self.world.procs[dest_world].pml.mailbox
+            yield box.store(self.proc.core)
+            box.deliver(self.proc.core, env)
+            mine.succeed(None)
             self._emit_send_done(hb)
         finally:
-            # Normal completion already posted (ticket triggered, no-op);
-            # an unwound send vacates its ordering slot instead.
-            self._retire_ticket(ticket)
+            # Normal completion already posted; an unwound send vacates
+            # its ordering slot instead.
+            if ticket[1]._value is PENDING:
+                self._retire_ticket(ticket)
 
     def _emit_send_done(self, hb: int) -> None:
-        tr = self.machine.tracer
+        tr = self.tracer
         if tr.enabled:
             tr.emit("mpi.send_done", src=self.proc.rank, hb=hb)
         else:
-            tr.tick("mpi.send_done")
+            tr.counters["mpi.send_done"] += 1
 
     def _post_ordered(self, ticket, peer: "PmlEndpoint", env: Envelope):
         """Post the envelope once every earlier send to this peer posted."""
@@ -215,21 +267,15 @@ class PmlEndpoint:
         # this instant — notably a KNEM region registered by the protocol
         # *after* the call-site ``mpi.send`` record (the cookie rides in this
         # very envelope, so it is visible to the matching receiver).
-        tr = self.machine.tracer
+        tr = self.tracer
         if tr.enabled:
             tr.emit("mpi.inject", src=self.proc.rank, hb=env.hb)
         else:
-            tr.tick("mpi.inject")
-        yield from peer.mailbox.post(self.proc.core, env)
+            tr.counters["mpi.inject"] += 1
+        box = peer.mailbox
+        yield box.store(self.proc.core)
+        box.deliver(self.proc.core, env)
         mine.succeed(None)
-
-    def _send_inline(self, ticket, cid, src_rank, dest_world, tag, nbytes,
-                     payload, is_object, hb=-1):
-        env = Envelope(kind=EAGER, cid=cid, src=src_rank, tag=tag,
-                       nbytes=nbytes, payload=payload, reply_to=self.proc.rank,
-                       is_object=is_object, hb=hb)
-        peer = self.world.endpoint(dest_world)
-        yield from self._post_ordered(ticket, peer, env)
 
     def _send_eager(self, ticket, cid, src_rank, dest_world, tag, buf,
                     offset, nbytes, hb=-1):
@@ -263,7 +309,7 @@ class PmlEndpoint:
             env = Envelope(kind=RTS_SM, cid=cid, src=src_rank, tag=tag,
                            nbytes=nbytes, carrier=fifo, reply_to=self.proc.rank,
                            hb=hb)
-            fin = self.sim.event(name=f"fin:{env.seq}")
+            fin = _Fin(self.sim, env.seq)
             self._fin_waiters[env.seq] = fin
             yield from self._post_ordered(ticket, peer, env)
             if buf.backed:
@@ -319,7 +365,7 @@ class PmlEndpoint:
             env = Envelope(kind=RTS_KNEM, cid=cid, src=src_rank, tag=tag,
                            nbytes=nbytes, payload=cookie,
                            reply_to=self.proc.rank, hb=hb)
-            fin = self.sim.event(name=f"fin:{env.seq}")
+            fin = _Fin(self.sim, env.seq)
             self._fin_waiters[env.seq] = fin
             peer = self.world.endpoint(dest_world)
             yield from self._post_ordered(ticket, peer, env)
@@ -346,70 +392,45 @@ class PmlEndpoint:
             retx = Envelope(kind=RETX, cid=cid, src=src_rank, tag=tag,
                             nbytes=nbytes, payload=env.seq, carrier=temp,
                             reply_to=self.proc.rank, hb=hb)
-            yield from peer.mailbox.post(self.proc.core, retx)
+            box = peer.mailbox
+            yield box.store(self.proc.core)
+            box.deliver(self.proc.core, retx)
 
     # ------------------------------------------------------------------ recv
-    def recv(
-        self,
-        cid: int,
-        source: int,
-        tag: Any,
-        buf: Optional[SimBuffer] = None,
-        offset: int = 0,
-        nbytes: int = 0,
-        want_object: bool = False,
-    ):
-        """Blocking receive (generator); returns :class:`Status`."""
-        req = self.post_recv(cid, source, tag, buf, offset, nbytes, want_object)
-        status = yield req.event
-        return status
-
     def post_recv(self, cid, source, tag, buf=None, offset=0, nbytes=0,
                   want_object=False) -> Request:
-        """Non-blocking receive post; returns the request."""
+        """Non-blocking receive post; returns the request (a blocking
+        receive yields it)."""
         req = Request(self.sim, "recv")
-        tr = self.machine.tracer
+        tr = self.tracer
         if tr.enabled:
             src_world = (None if source == ANY_SOURCE
                          else self.world.comm_world_rank(cid, source))
             tr.emit("mpi.recv_post", rank=self.proc.rank,
                     src=src_world, req=req.id)
         else:
-            tr.tick("mpi.recv_post")
+            tr.counters["mpi.recv_post"] += 1
         posted = PostedRecv(source, tag, buf, offset, nbytes, req, want_object)
         engine = self.engines.get(cid)
         if engine is None:
             engine = self.engines[cid] = MatchEngine()
         env = engine.post(posted)
         if env is not None:
-            self.sim.process(self._deliver(env, posted),
-                             name=f"deliver[{self.proc.rank}]",
-                             owner=self.proc.rank)
+            Process(self.sim, self._deliver(env, posted), self._deliver_name,
+                    False, self.proc.rank)
         return req
 
     def isend(self, cid, src_rank, dest_world, tag, buf=None, offset=0,
               nbytes=0, obj: Any = _NO_OBJECT) -> Request:
         """Non-blocking send: runs the send protocol as a child process."""
         req = Request(self.sim, "send")
-        proc = self.sim.process(
-            self.send(cid, src_rank, dest_world, tag, buf, offset, nbytes, obj),
-            name=f"isend[{self.proc.rank}->{dest_world}]",
-            owner=self.proc.rank,
-        )
-
-        def finish(ev):
-            if ev.ok:
-                req._finish(None)
-            else:
-                req.event.fail(ev.value)
-                if isinstance(ev.value, (RankCrashed, RankFailed,
-                                         ProcessKilled)):
-                    # Crash-path failure: the program waiting on this
-                    # request may itself be dead or aborted, so nobody is
-                    # guaranteed to observe the event — defuse it.
-                    req.event._defused = True
-
-        proc.add_callback(finish)
+        # send() takes the ordering ticket, and names the peer on first use
+        gen = self.send(cid, src_rank, dest_world, tag, buf, offset, nbytes,
+                        obj)
+        child = Process(self.sim, gen, self._peer_names[dest_world][1],
+                        False, self.proc.rank)
+        # A fresh process has no callbacks yet: no copy-on-write check.
+        child.callbacks = [req.follow]
         return req
 
     # ---------------------------------------------------------------- engine
@@ -423,7 +444,7 @@ class PmlEndpoint:
                     raise MpiError(f"unmatched FIN for send seq {env.payload}")
                 # HB edge: the receiver's copy completion happens-before
                 # anything the sender does after its blocking send returns.
-                tr = self.machine.tracer
+                tr = self.tracer
                 if tr.enabled:
                     tr.emit("mpi.fin_recv", rank=self.proc.rank,
                             seq=env.payload)
@@ -444,9 +465,8 @@ class PmlEndpoint:
             if posted is not None:
                 # Owned by this rank, like the deliveries post_recv spawns:
                 # a crash of the receiver takes its in-flight copies down.
-                self.sim.process(self._deliver(env, posted),
-                                 name=f"deliver[{self.proc.rank}]",
-                                 owner=self.proc.rank)
+                Process(self.sim, self._deliver(env, posted),
+                        self._deliver_name, False, self.proc.rank)
 
     def _deliver(self, env: Envelope, posted: PostedRecv):
         """Receiver-side data movement for one matched message."""
@@ -455,24 +475,24 @@ class PmlEndpoint:
         # any out-of-band cookie) has reached this rank, so everything the
         # sender did before `mpi.send` is now visible here — including to
         # the in-kernel copy this delivery may be about to perform.
-        tr = self.machine.tracer
+        tr = self.tracer
         if tr.enabled:
             tr.emit("mpi.recv", rank=self.proc.rank,
                     src_comm=env.src, hb=env.hb,
                     req=posted.request.id)
         else:
-            tr.tick("mpi.recv")
+            tr.counters["mpi.recv"] += 1
         if not env.is_object and posted.buf is not None and env.nbytes > posted.nbytes:
             exc = TruncationError(
                 f"rank {self.proc.rank}: incoming {env.nbytes}B message "
                 f"(src={env.src}, tag={env.tag!r}) exceeds posted {posted.nbytes}B"
             )
-            posted.request.event.fail(exc)
+            posted.request.fail(exc)
             return
-        status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes,
-                        payload=env.payload if env.is_object else None)
-        yield self.sim.timeout(self.stack.sw_recv_eager if env.kind == EAGER
-                               else self.stack.sw_recv_rndv)
+        status = Status(env.src, env.tag, env.nbytes,
+                        env.payload if env.is_object else None)
+        yield Timeout(self.sim, self.stack.sw_recv_eager if env.kind == EAGER
+                      else self.stack.sw_recv_rndv)
         if env.kind == EAGER:
             if env.is_object:
                 pass  # control message: payload delivered via status
@@ -526,7 +546,7 @@ class PmlEndpoint:
                 # sender deregisters and retransmits through shared memory,
                 # then park until that RETX arrives.
                 knem.health.note_failure("p2p-copy", self.proc.core)
-                waiter = self.sim.event(name=f"retx:{env.seq}")
+                waiter = Event(self.sim, f"retx:{env.seq}")
                 self._retx_waiters[env.seq] = waiter
                 self._send_fin(env, nack=True)
                 retx = yield waiter
@@ -536,10 +556,10 @@ class PmlEndpoint:
                 ))
         else:  # pragma: no cover - defensive
             raise MpiError(f"unknown envelope kind {env.kind!r}")
-        posted.request._finish(status)
+        posted.request.succeed(status)
 
     def _send_fin(self, env: Envelope, nack: bool = False) -> None:
-        tr = self.machine.tracer
+        tr = self.tracer
         if tr.enabled:
             tr.emit("mpi.fin_send", rank=self.proc.rank, seq=env.seq)
         else:

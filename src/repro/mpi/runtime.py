@@ -55,8 +55,11 @@ class Machine:
     def __init__(self, spec: MachineSpec, costs: Optional[KernelCosts] = None,
                  trace: bool = False):
         self.spec = spec
-        self.sim = Simulator()
-        self.tracer = Tracer(clock=lambda: self.sim.now, enabled=trace)
+        self.sim = sim = Simulator()
+        # The clock closes over the simulator, not the machine: the machine
+        # stays out of reference cycles, so a finished cell is freed by
+        # reference counting alone (see Job.close).
+        self.tracer = Tracer(clock=lambda: sim.now, enabled=trace)
         self.mem = MemorySystem(self.sim, spec, tracer=self.tracer)
         self.costs = costs or KernelCosts()
         self.shm = ShmWorld(self.sim, spec, self.mem, costs=self.costs)
@@ -586,6 +589,24 @@ class Job:
             raise failed[0][1]
         return JobResult(values, start, finish,
                          dead_ranks=tuple(sorted(world.dead)))
+
+    def close(self) -> None:
+        """Take the job apart so that reference counting alone frees it.
+
+        After a run the per-rank progress daemons are still parked on
+        their mailboxes, and the job's objects point back at each other
+        (process and world, process and endpoint, communicator and
+        process, world and its communicators and component).  Closing
+        ends the daemons and drops those back-references; the job cannot
+        run again.  The machine keeps everything read after a run: its
+        simulator's counters, memory system, KNEM driver and tracer.
+        """
+        world = self.world
+        for proc in world.procs:
+            proc.pml.close()
+            proc.world = proc.comm = None
+        world.coll = None
+        world._comms.clear()
 
     def _close_orphans(self, sim: Simulator) -> int:
         """Kill blocked non-daemon protocol children; returns how many."""

@@ -114,9 +114,9 @@ class Semaphore:
                 continue
             ev.succeed(None)
             return
-        self._available += 1
-        if self._available > self.capacity:
+        if self._available >= self.capacity:
             raise SimulationError(f"semaphore {self.name} over-released")
+        self._available += 1
 
     def reset(self) -> None:
         """Restore full capacity and forget blocked acquirers (owner death).

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.simtime.core import PENDING, Event, Simulator, Timeout
+from repro.simtime.core import _NO_CBS, PENDING, Event, Simulator, Timeout
 
 __all__ = ["Process", "AllOf", "AnyOf"]
 
@@ -40,25 +40,46 @@ class Process(Event):
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "",
                  daemon: bool = False, owner: "int | None" = None):
-        if not hasattr(gen, "send"):
+        # Pre-bound generator entry point: one resume per event dispatched
+        # makes the attribute lookup + method bind measurable at sweep scale.
+        send = getattr(gen, "send", None)
+        if send is None:
             raise SimulationError(
                 f"process body must be a generator, got {type(gen).__name__}; "
                 "did you call the function instead of passing its generator?"
             )
+        # Every simulated message starts one or two processes, so this
+        # constructor inlines Event.__init__ and the start Timeout's.
         Process._ids += 1
-        super().__init__(sim, name=name or f"process-{Process._ids}")
+        self.sim = sim
+        self.callbacks = _NO_CBS
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self._abandoned = False
+        self._pwait = None
+        self.name = name or f"process-{Process._ids}"
         self._gen = gen
-        # Pre-bound generator entry point: one resume per event dispatched
-        # makes the attribute lookup + method bind measurable at sweep scale.
-        self._send = gen.send
+        self._send = send
         self.daemon = daemon
         self.owner = owner
         #: on-death hooks, allocated by the first :meth:`on_death`
         self._death_callbacks: "list | None" = None
         sim._live_processes[id(self)] = self
-        # Kick off on the next queue dispatch at the current time.
-        start = Timeout(sim, 0.0)
+        # Kick off on the next queue dispatch at the current time: a
+        # zero-delay Timeout always lands on the current-instant FIFO.
+        start = Timeout.__new__(Timeout)
+        start.sim = sim
+        start.callbacks = _NO_CBS
+        start._value = None
         start._pwait = self
+        start.name = ""
+        start.delay = 0.0
+        ready = sim._ready
+        ready.append(start)
+        n = len(ready) + len(sim._heap)
+        if n > sim.peak_heap:
+            sim.peak_heap = n
         self._waiting_on: Event | None = start
 
     @property
@@ -155,7 +176,8 @@ class Process(Event):
     def _finish_ok(self, value: Any) -> None:
         self.sim._live_processes.pop(id(self), None)
         self.succeed(value)
-        self._fire_death()
+        if self._death_callbacks is not None:
+            self._fire_death()
 
     def _finish_fail(self, exc: BaseException) -> None:
         self.sim._live_processes.pop(id(self), None)
@@ -211,6 +233,22 @@ class Process(Event):
         self._finish_fail(exc)
         if waited is not None and waited._ok is False:
             waited._defused = True
+
+    def close(self) -> None:
+        """Discard a process that nothing will resume (the teardown of a
+        finished job's daemons).
+
+        Unlike :meth:`kill` this schedules nothing and leaves the process's
+        own event pending: the generator is closed (``finally`` blocks
+        run), the process leaves the simulator's live set, and the event
+        it was parked on is abandoned so that no primitive hands it a unit
+        or an item.
+        """
+        self.sim._live_processes.pop(id(self), None)
+        waited, self._waiting_on = self._waiting_on, None
+        if waited is not None:
+            waited._abandoned = True
+        self._gen.close()
 
     def throw(self, exc: BaseException, only_if=None) -> None:
         """Throw ``exc`` into the process at the current simulation time.

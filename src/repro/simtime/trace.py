@@ -55,11 +55,12 @@ class Tracer:
     def tick(self, category: str) -> None:
         """Count-only fast path for hot call sites.
 
-        Per-message/per-copy sites guard with ``if tracer.enabled:
-        tracer.emit(...) else: tracer.tick(...)`` so a disabled tracer never
-        pays for building the kwargs dict — the dominant cost of
-        :meth:`emit` in tight simulation loops — while the always-on
-        counters stay exact.
+        Per-copy sites guard with ``if tracer.enabled: tracer.emit(...)
+        else: tracer.tick(...)`` so a disabled tracer never pays for
+        building the kwargs dict — the dominant cost of :meth:`emit` in
+        tight simulation loops — while the always-on counters stay exact.
+        The per-message sites of the PML and the mailboxes skip this call
+        too and bump ``counters[category]`` themselves.
         """
         self.counters[category] += 1
 

@@ -1,5 +1,6 @@
 """IMB harness semantics: iteration scaling, off-cache, op registry."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -65,3 +66,25 @@ class TestTimingOnlyFootprint:
         finally:
             tracemalloc.stop()
         assert peak < 16 * MiB
+
+
+class TestCellTeardown:
+    def test_cell_leaves_no_cyclic_garbage(self):
+        """A finished cell's machine, job and daemons are freed by reference
+        counting alone: nothing is left for the cyclic collector."""
+        settings = ImbSettings(max_iterations=1, warmups=0)
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            imb_time("zoot", stacks.KNEM_COLL, 16, "gather", 32 * KiB,
+                     settings)
+            gc.collect()
+            leaked = len(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert leaked == 0

@@ -182,7 +182,8 @@ class TestHierarchy:
 
         aware = timed(stacks.KNEM_COLL)
         oblivious = timed(stacks.KNEM_COLL.with_tuning(topology_aware=False))
-        assert oblivious > aware
+        # EXPERIMENTS.md quotes 12.0 vs 5.0 ms (2.4x) for this ablation
+        assert oblivious / aware >= 2.0
 
 
 class TestAlltoallSchedule:

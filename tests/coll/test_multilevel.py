@@ -102,7 +102,7 @@ class TestMultilevelBcast:
 
     def test_competitive_with_two_level(self):
         """Relaying across the interlink once (vs once per far-board
-        domain) must not cost time at large sizes."""
+        domain) wins by at least 1.2x at 4 MiB."""
         def timed(stack):
             job = Job(Machine.build("ig"), nprocs=48, stack=stack)
 
@@ -116,4 +116,5 @@ class TestMultilevelBcast:
 
         two = timed(stacks.KNEM_COLL)
         three = timed(HIER3)
-        assert three < two * 1.05
+        # EXPERIMENTS.md quotes 7.66 vs 9.68 ms at 4 MiB (1.26x)
+        assert two / three >= 1.2

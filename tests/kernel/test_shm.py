@@ -48,7 +48,8 @@ class TestMailbox:
             got.append((v, sim.now))
 
         def sender():
-            yield from box.post(0, "hello")
+            yield box.store(0)
+            box.deliver(0, "hello")
 
         sim.process(receiver())
         sim.process(sender())
@@ -63,7 +64,8 @@ class TestMailbox:
 
         def sender():
             for i in range(5):
-                yield from box.post(0, i)
+                yield box.store(0)
+                box.deliver(0, i)
 
         def receiver():
             for _ in range(5):

@@ -1,10 +1,12 @@
 """Point-to-point messaging over the full stack: protocols, ordering,
 wildcards, truncation, object messages."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.errors import TruncationError
+from repro.errors import DeadlockError, TruncationError
 from repro.mpi import ANY_SOURCE, ANY_TAG, Job, Machine, stacks
 from repro.units import KiB, MiB
 
@@ -213,6 +215,51 @@ class TestObjectMessages:
 
         res = run_pair(program)
         assert res.values[1] == ("ctrl", 42)
+
+
+class TestDeadlockReports:
+    """What a deadlock report names: the event each blocked process waits
+    on.  The names are built lazily or once per peer, so these pin the
+    strings a reader of the report (and the analyzer) sees."""
+
+    @staticmethod
+    def deadlock(program):
+        with pytest.raises(DeadlockError) as exc:
+            run_pair(program)
+        return exc.value
+
+    def test_recv_recv_names_the_receive_requests(self):
+        def program(proc):
+            buf = proc.alloc(64, backed=False)
+            yield from proc.comm.recv(1 - proc.rank, buf, 0, 64)
+
+        err = self.deadlock(program)
+        assert err.blocked == ["rank0", "rank1"]
+        for name in err.blocked:
+            assert re.fullmatch(r"req\d+:recv", err.waiting[name])
+
+    def test_send_send_names_the_rendezvous_fins(self):
+        def program(proc):
+            buf = proc.alloc(256 * KiB, backed=False)
+            yield from proc.comm.send(1 - proc.rank, buf, 0, 256 * KiB)
+
+        err = self.deadlock(program)
+        assert err.blocked == ["rank0", "rank1"]
+        for name in err.blocked:
+            assert re.fullmatch(r"fin:\d+", err.waiting[name])
+
+    def test_crossing_isends_name_protocol_and_request(self):
+        def program(proc):
+            buf = proc.alloc(256 * KiB, backed=False)
+            req = proc.comm.isend(1 - proc.rank, buf, 0, 256 * KiB)
+            yield req.event
+
+        err = self.deadlock(program)
+        assert err.blocked == ["isend[0->1]", "isend[1->0]", "rank0", "rank1"]
+        for name in ("isend[0->1]", "isend[1->0]"):
+            assert re.fullmatch(r"fin:\d+", err.waiting[name])
+        for name in ("rank0", "rank1"):
+            assert re.fullmatch(r"req\d+:send", err.waiting[name])
 
 
 class TestTimingSanity:

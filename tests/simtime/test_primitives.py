@@ -88,6 +88,14 @@ class TestSemaphore:
         with pytest.raises(SimulationError):
             sem.release()
 
+    def test_refused_release_leaves_count_alone(self, sim):
+        sem = Semaphore(sim, 1)
+        with pytest.raises(SimulationError):
+            sem.release()
+        assert sem.available == 1
+        assert sem.acquire().triggered
+        assert not sem.acquire().triggered
+
     def test_fifo_grant_order(self, sim):
         sem = Semaphore(sim, 0)
         order = []

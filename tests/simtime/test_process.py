@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.errors import SimulationError
-from repro.simtime import AllOf, AnyOf, Simulator
+from repro.simtime import AllOf, AnyOf, Channel, Simulator
 from repro.simtime.process import Interrupted, Process
 
 
@@ -171,6 +171,28 @@ class TestProcess:
             if enabled:
                 gc.enable()
         assert leaked == 0
+
+    def test_close_discards_a_parked_daemon(self, sim):
+        """close() unwinds the generator and schedules nothing; the wait it
+        abandons is skipped by the channel's next hand-off."""
+        chan = Channel(sim)
+        unwound = []
+
+        def daemon():
+            try:
+                while True:
+                    yield chan.get()
+            finally:
+                unwound.append(sim.now)
+
+        p = sim.process(daemon(), daemon=True)
+        sim.run()
+        p.close()
+        assert unwound == [0.0]
+        assert not sim._live_processes and sim.queue_size == 0
+        assert not p.triggered
+        chan.put("x")
+        assert len(chan) == 1
 
 
 class TestComposites:
