@@ -26,6 +26,7 @@ __all__ = [
     "SCALES",
     "TABLE1_PAPER",
     "figure4",
+    "figure4_stacks",
     "figure5",
     "figure6",
     "scatter_text",
@@ -103,17 +104,11 @@ def _paper_grid(experiment: str, operation: str, machine: str, scale: str,
 
 
 # ---------------------------------------------------------------- figure 4
-def figure4(scale: str = "bench",
-            pipeline_sizes: Optional[list[int]] = None,
-            resume: bool = False, jobs: int = 1,
-            service: Optional[str] = None) -> ExperimentResult:
-    """Pipeline-size sweep of the hierarchical pipelined Broadcast on IG.
-
-    Series: ``linear``, ``no-pipeline``, and one per pipeline segment size;
-    normalization reference is ``no-pipeline`` (as in the paper's Figure 4).
-    """
-    settings = _settings(scale)
-    sizes = _sizes(scale, FIG4_SIZES)
+def figure4_stacks(scale: str = "bench",
+                   pipeline_sizes: Optional[list[int]] = None
+                   ) -> list[stk.Stack]:
+    """The series of Figure 4: ``linear``, ``no-pipeline``, and one
+    KNEM-Coll stack per pipeline segment size."""
     if pipeline_sizes is None:
         pipeline_sizes = [4 * KiB, 16 * KiB, 64 * KiB, 256 * KiB, 512 * KiB,
                           2 * MiB]
@@ -132,6 +127,21 @@ def figure4(scale: str = "bench",
                                        pipeline_seg_intermediate=seg,
                                        pipeline_seg_large=seg,
                                        pipeline_large_at=1 << 62))
+    return stacks
+
+
+def figure4(scale: str = "bench",
+            pipeline_sizes: Optional[list[int]] = None,
+            resume: bool = False, jobs: int = 1,
+            service: Optional[str] = None) -> ExperimentResult:
+    """Pipeline-size sweep of the hierarchical pipelined Broadcast on IG.
+
+    Series: ``linear``, ``no-pipeline``, and one per pipeline segment size;
+    normalization reference is ``no-pipeline`` (as in the paper's Figure 4).
+    """
+    settings = _settings(scale)
+    sizes = _sizes(scale, FIG4_SIZES)
+    stacks = figure4_stacks(scale, pipeline_sizes)
     return run_sweep(
         experiment="fig4", machine="ig", operation="bcast", nprocs=48,
         stacks=stacks, sizes=sizes, settings=settings,

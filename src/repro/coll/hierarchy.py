@@ -1,15 +1,24 @@
-"""NUMA-aware two-level communication trees (Section IV, Figure 1).
+"""The relay trees of the KNEM-Coll broadcast (Section IV, Figure 1).
 
-Ranks are split into *sets* by NUMA locality (all ranks whose cores share a
-memory domain form one set).  The first tree level holds one **leader** per
-set (the operation root doubles as its own set's leader); every other rank
-is a **leaf** under its set's leader.  A single inter-domain transfer feeds
-each set, minimizing inter-socket traffic, and intra-set transfers hit the
-shared cache.
+Every rank pulls the message from its parent's region and re-exports its
+own buffer to its children, so a tree is just a choice of parent and
+children over communicator ranks.  Three depths are built:
 
-The ablation tree (``topology_aware=False``) groups ranks by *logical rank
-order* into same-sized chunks — the paper's critique of fixed logical trees
-— so the benefit of topology awareness can be measured in isolation.
+1. **Flat** — the root feeds every other rank (the linear broadcast).
+2. **Two-level** (Figure 1) — ranks are split into *sets* by NUMA locality
+   (all ranks whose cores share a memory domain form one set).  The root
+   feeds one **leader** per other set, then the rest of its own set; each
+   leader feeds the rest of its set.  A single inter-domain transfer feeds
+   each set, minimizing inter-socket traffic, and intra-set transfers hit
+   the shared cache.  The ablation tree (``topology_aware=False``) groups
+   ranks by *logical rank order* into same-sized chunks — the paper's
+   critique of fixed logical trees — so the benefit of topology awareness
+   can be measured in isolation.
+3. **Board** — root -> board leaders -> domain leaders -> leaves, the
+   "significantly more complex than two-level" hierarchy the paper motivates
+   for machines like IG: the two-level tree sends one inter-board transfer
+   *per far-board domain*, while a board level relays the message across
+   the interlink once.
 """
 
 from __future__ import annotations
@@ -22,107 +31,12 @@ from repro.topology.distance import leader_order
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import CollCtx
 
-__all__ = ["HierTree", "build_tree", "hierarchy_worthwhile"]
-
-
-@dataclass(frozen=True)
-class HierTree:
-    """A two-level tree over communicator ranks."""
-
-    root: int
-    #: group id -> ordered member ranks (leader first)
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def leaders(self) -> list[int]:
-        return [g[0] for g in self.groups]
-
-    @property
-    def non_root_leaders(self) -> list[int]:
-        return [g[0] for g in self.groups if g[0] != self.root]
-
-    def group_of(self, rank: int) -> tuple[int, ...]:
-        for g in self.groups:
-            if rank in g:
-                return g
-        raise ValueError(f"rank {rank} not in tree")  # pragma: no cover
-
-    def leader_of(self, rank: int) -> int:
-        return self.group_of(rank)[0]
-
-    def leaves_of(self, leader: int) -> list[int]:
-        return [r for r in self.group_of(leader)[1:]]
-
-    def role(self, rank: int) -> str:
-        if rank == self.root:
-            return "root"
-        if rank in self.leaders:
-            return "leader"
-        return "leaf"
-
-
-def build_tree(ctx: "CollCtx", root: int, topology_aware: bool = True) -> HierTree:
-    """Build (and cache) the two-level tree for this communicator and root."""
-    key = ("hier", ctx.comm.cid, root, topology_aware)
-    tree = ctx.cache.get(key)
-    if tree is not None:
-        return tree
-    size = ctx.size
-    spec = ctx.machine.spec
-    if topology_aware:
-        by_domain: dict[int, list[int]] = {}
-        for rank in range(size):
-            dom = spec.core_domain(ctx.comm.core_of(rank))
-            by_domain.setdefault(dom, []).append(rank)
-        root_dom = spec.core_domain(ctx.comm.core_of(root))
-        order = leader_order(spec, ctx.comm.core_of(root), sorted(by_domain))
-        groups = []
-        for dom in order:
-            members = sorted(by_domain[dom])
-            lead = root if dom == root_dom else members[0]
-            rest = [r for r in members if r != lead]
-            groups.append(tuple([lead] + rest))
-        tree = HierTree(root=root, groups=tuple(groups))
-    else:
-        # Rank-order chunks of the same cardinality as the NUMA grouping
-        # would produce — the "logical ranks layout" tree of [9].
-        n_groups = max(
-            len({spec.core_domain(ctx.comm.core_of(r)) for r in range(size)}), 1
-        )
-        base = size // n_groups
-        extra = size % n_groups
-        groups = []
-        start = 0
-        for g in range(n_groups):
-            n = base + (1 if g < extra else 0)
-            chunk = list(range(start, start + n))
-            start += n
-            if root in chunk:
-                chunk.remove(root)
-                chunk.insert(0, root)
-            groups.append(tuple(chunk))
-        tree = HierTree(root=root, groups=tuple(g for g in groups if g))
-    ctx.cache[key] = tree
-    return tree
-
-
-def hierarchy_worthwhile(ctx: "CollCtx") -> bool:
-    """Auto decision: hierarchy pays off when ranks span > 1 memory domain."""
-    spec = ctx.machine.spec
-    domains = {spec.core_domain(ctx.comm.core_of(r)) for r in range(ctx.size)}
-    return len(domains) > 1
+__all__ = ["RelayTree", "build_tree", "hierarchy_worthwhile"]
 
 
 @dataclass(frozen=True)
 class RelayTree:
-    """A generic relay tree: every rank pulls from its parent's region.
-
-    Used by the multi-level (board > domain > core) pipelined broadcast —
-    the "significantly more complex than two-level" hierarchy the paper
-    motivates for machines like IG, where the two-level tree sends one
-    inter-board transfer *per far-board domain* while a board level relays
-    the message across the interlink once.
-    """
+    """A broadcast tree: every rank pulls from its parent's region."""
 
     root: int
     parent: tuple  # parent[rank] (None for root), indexed by rank
@@ -134,12 +48,79 @@ class RelayTree:
         return "relay" if self.children[rank] else "leaf"
 
 
-def build_board_tree(ctx: "CollCtx", root: int) -> RelayTree:
-    """Three-level tree: root -> board leaders -> domain leaders -> leaves."""
-    key = ("hier3", ctx.comm.cid, root)
+def build_tree(ctx: "CollCtx", root: int, levels: int = 2,
+               topology_aware: bool = True) -> RelayTree:
+    """Build (and cache) the ``levels``-deep tree for this communicator and
+    root: 1 = flat, 2 = NUMA sets (Figure 1), 3 = boards over NUMA sets."""
+    key = ("relay", ctx.comm.cid, root, levels, topology_aware)
     tree = ctx.cache.get(key)
     if tree is not None:
         return tree
+    size = ctx.size
+    kids: dict[int, list[int]]
+    if levels == 1:
+        kids = {root: [r for r in range(size) if r != root]}
+    elif levels == 2:
+        sets = (_numa_sets(ctx, root) if topology_aware
+                else _rank_chunks(ctx, root))
+        kids = {root: [s[0] for s in sets if s[0] != root]}
+        for s in sets:
+            kids.setdefault(s[0], []).extend(s[1:])
+    else:
+        kids = {}
+        for rank, par in enumerate(_board_parents(ctx, root)):
+            if par is not None:
+                kids.setdefault(par, []).append(rank)
+    parent: list = [None] * size
+    children: list[tuple[int, ...]] = [()] * size
+    for rank, ranks in kids.items():
+        children[rank] = tuple(ranks)
+        for kid in ranks:
+            parent[kid] = rank
+    tree = RelayTree(root=root, parent=tuple(parent), children=tuple(children))
+    ctx.cache[key] = tree
+    return tree
+
+
+def _numa_sets(ctx: "CollCtx", root: int) -> list[list[int]]:
+    """One set per memory domain, leader first, in :func:`leader_order`;
+    the root leads its own set."""
+    spec = ctx.machine.spec
+    by_domain: dict[int, list[int]] = {}
+    for rank in range(ctx.size):
+        by_domain.setdefault(spec.core_domain(ctx.comm.core_of(rank)),
+                             []).append(rank)
+    root_dom = spec.core_domain(ctx.comm.core_of(root))
+    sets = []
+    for dom in leader_order(spec, ctx.comm.core_of(root), sorted(by_domain)):
+        members = by_domain[dom]
+        lead = root if dom == root_dom else members[0]
+        sets.append([lead] + [r for r in members if r != lead])
+    return sets
+
+
+def _rank_chunks(ctx: "CollCtx", root: int) -> list[list[int]]:
+    """Rank-order chunks of the same cardinality as the NUMA grouping would
+    produce — the "logical ranks layout" tree of [9]."""
+    size = ctx.size
+    spec = ctx.machine.spec
+    n_sets = max(
+        len({spec.core_domain(ctx.comm.core_of(r)) for r in range(size)}), 1)
+    base, extra = divmod(size, n_sets)
+    sets = []
+    start = 0
+    for i in range(n_sets):
+        chunk = list(range(start, start + base + (1 if i < extra else 0)))
+        start += len(chunk)
+        if root in chunk:
+            chunk.remove(root)
+            chunk.insert(0, root)
+        sets.append(chunk)
+    return sets
+
+
+def _board_parents(ctx: "CollCtx", root: int) -> list:
+    """Parent of every rank in the board tree (None for the root)."""
     size = ctx.size
     spec = ctx.machine.spec
     by_board: dict[int, list[int]] = {}
@@ -181,11 +162,11 @@ def build_board_tree(ctx: "CollCtx", root: int) -> RelayTree:
         bl = board_leader(board)
         if bl != root and parent[bl] in (None, bl):
             parent[bl] = root
-    children: list[list[int]] = [[] for _ in range(size)]
-    for rank, par in enumerate(parent):
-        if par is not None:
-            children[par].append(rank)
-    tree = RelayTree(root=root, parent=tuple(parent),
-                     children=tuple(tuple(c) for c in children))
-    ctx.cache[key] = tree
-    return tree
+    return parent
+
+
+def hierarchy_worthwhile(ctx: "CollCtx") -> bool:
+    """Auto decision: hierarchy pays off when ranks span > 1 memory domain."""
+    spec = ctx.machine.spec
+    domains = {spec.core_domain(ctx.comm.core_of(r)) for r in range(ctx.size)}
+    return len(domains) > 1

@@ -46,7 +46,7 @@ from typing import Optional
 
 from repro.coll.algorithms import export_schedule, segments
 from repro.coll.base import BaseColl, register_component
-from repro.coll.hierarchy import build_board_tree, build_tree, hierarchy_worthwhile
+from repro.coll.hierarchy import RelayTree, build_tree, hierarchy_worthwhile
 from repro.coll.tuned import TunedColl
 from repro.errors import CollectiveError, FaultInjected
 from repro.hardware.memory import SimBuffer
@@ -56,13 +56,10 @@ from repro.mpi.communicator import CollCtx
 __all__ = ["KnemColl"]
 
 # Phase namespace layout (offsets into the per-call tag space).
-_PH_COOKIE = 0      # root/leader -> peers: region cookie
-_PH_SYNC = 1        # peers -> root/leader: copy verdict (_OK / _RESEND)
-_PH_LEADER_COOKIE = 2
-_PH_LEADER_SYNC = 3
-_PH_SEG_READY = 4   # leader -> leaves: pipelined segment availability
+_PH_COOKIE = 0      # region owner -> peers: region cookie
+_PH_SYNC = 1        # peers -> region owner: copy verdict (_OK / _RESEND)
+_PH_SEG_READY = 4   # relay -> children: pipelined segment availability
 _PH_RESEND = 5      # owner -> degraded peer (or back): the data, p2p
-_PH_LEADER_RESEND = 6
 _PH_A2A_STATUS = 7  # alltoallv reader -> owner: copy verdict
 _PH_A2A_RESEND = 8  # alltoallv owner -> reader: the block, p2p
 _PH_BARRIER_A = 900
@@ -165,245 +162,91 @@ class KnemColl(BaseColl):
             yield from self._fallback.bcast(ctx, buf, offset, nbytes, root)
             return
         if not self._hierarchical(ctx):
-            yield from self._bcast_linear(ctx, buf, offset, nbytes, root)
+            levels = 1
         elif (self.tuning.hierarchy_levels >= 3
                 and ctx.machine.spec.n_boards > 1):
-            yield from self._bcast_multilevel(ctx, buf, offset, nbytes, root)
+            levels = 3
         else:
-            yield from self._bcast_hierarchical(ctx, buf, offset, nbytes, root)
+            levels = 2
+        tree = build_tree(ctx, root, levels, self.tuning.topology_aware)
+        yield from self._bcast_relay(ctx, tree, buf, offset, nbytes)
 
-    def _bcast_linear(self, ctx: CollCtx, buf: SimBuffer, offset: int,
-                      nbytes: int, root: int):
-        """One region, one cookie broadcast, P-1 parallel receiver reads."""
-        knem = self._knem
-        core = ctx.proc.core
-        if ctx.rank == root:
-            cookie = yield from self._register_or_degrade(core, buf, offset,
-                                                          nbytes, PROT_READ)
-            try:
-                post = _DIRECT if cookie is None else cookie
-                reqs = [ctx.isend_obj(peer, post, phase=_PH_COOKIE)
-                        for peer in range(ctx.size) if peer != root]
-                for req in reqs:
-                    yield req.event
-                resend = []
-                for peer in range(ctx.size):
-                    if peer == root:
-                        continue
-                    verdict, _st = yield from ctx.recv_obj(peer, phase=_PH_SYNC)
-                    if verdict == _RESEND:
-                        resend.append(peer)
-                for peer in resend:
-                    yield from ctx.send(peer, buf, offset, nbytes,
-                                        phase=_PH_RESEND)
-                yield from self._release(core, cookie)
-            finally:
-                if cookie is not None:
-                    knem.reclaim(core, cookie)
-        else:
-            cookie, _st = yield from ctx.recv_obj(root, phase=_PH_COOKIE)
-            ok = False
-            if cookie != _DIRECT:
-                flags = FLAG_DMA if self.tuning.dma_offload else 0
-                ok = yield from self._copy_or_degrade(
-                    core, cookie, 0, buf, offset, nbytes, write=False,
-                    flags=flags)
-            yield from ctx.send_obj(root, _OK if ok else _RESEND,
-                                    phase=_PH_SYNC)
-            if not ok:
-                yield from ctx.recv(root, buf, offset, nbytes,
-                                    phase=_PH_RESEND)
+    def _bcast_relay(self, ctx: CollCtx, tree: RelayTree, buf: SimBuffer,
+                     offset: int, nbytes: int):
+        """One region per relay, every rank pulling from its parent's region.
 
-    def _bcast_hierarchical(self, ctx: CollCtx, buf: SimBuffer, offset: int,
-                            nbytes: int, root: int):
-        """Two-level tree with segment pipelining (Figure 1).
-
-        The root registers once; leaders pull segments from the root region
-        and re-export their own buffer to their leaves, which pull each
-        segment as soon as the leader announces it — overlapping the
-        inter-domain and intra-domain copies.  On a degraded run the segment
-        flags carry None once a relay lost the data; downstream ranks then
-        request a whole-buffer resend from their parent in the tree.
+        The root registers its buffer once and its region holds the whole
+        message from the start.  A relay re-exports its own buffer to its
+        children and pulls segment by segment, announcing each one as soon
+        as it has it, so its children's copies overlap its own (Figure 1).
+        A child of the root without children reads the whole message in one
+        copy.  On a degraded run the segment flags carry None once a relay
+        lost the data; downstream ranks then request a whole-buffer resend
+        from their parent.
         """
         knem = self._knem
         core = ctx.proc.core
-        tree = build_tree(ctx, root, topology_aware=self.tuning.topology_aware)
-        segsize = self._segsize(nbytes)
-        segs = segments(nbytes, segsize)
-        role = tree.role(ctx.rank)
-
-        if role == "root":
-            cookie = yield from self._register_or_degrade(core, buf, offset,
-                                                          nbytes, PROT_READ)
-            try:
-                post = _DIRECT if cookie is None else cookie
-                peers = tree.non_root_leaders + tree.leaves_of(root)
-                reqs = [ctx.isend_obj(peer, post, phase=_PH_COOKIE)
-                        for peer in peers]
-                for req in reqs:
-                    yield req.event
-                resend = []
-                for peer in peers:
-                    verdict, _st = yield from ctx.recv_obj(peer, phase=_PH_SYNC)
-                    if verdict == _RESEND:
-                        resend.append(peer)
-                for peer in resend:
-                    yield from ctx.send(peer, buf, offset, nbytes,
-                                        phase=_PH_RESEND)
-                yield from self._release(core, cookie)
-            finally:
-                if cookie is not None:
-                    knem.reclaim(core, cookie)
-
-        elif role == "leader":
-            root_cookie, _ = yield from ctx.recv_obj(root, phase=_PH_COOKIE)
-            my_cookie = yield from self._register_or_degrade(
-                core, buf, offset, nbytes, PROT_READ)
-            try:
-                leaves = tree.leaves_of(ctx.rank)
-                post = _DIRECT if my_cookie is None else my_cookie
-                reqs = [ctx.isend_obj(leaf, post, phase=_PH_LEADER_COOKIE)
-                        for leaf in leaves]
-                have_data = root_cookie != _DIRECT
-                for seg_index, (seg_off, seg_len) in enumerate(segs):
-                    if have_data:
-                        have_data = yield from self._copy_or_degrade(
-                            core, root_cookie, seg_off, buf, offset + seg_off,
-                            seg_len, write=False)
-                    # Per-segment availability flags are cheap shared-memory
-                    # stores, but they execute on the leader's critical path —
-                    # the synchronization cost that makes too-small pipeline
-                    # segments lose (Section VI-B).
-                    flag = seg_index if have_data else None
-                    for leaf in leaves:
-                        yield from ctx.send_obj(leaf, flag,
-                                                phase=_PH_SEG_READY)
-                for req in reqs:
-                    yield req.event
-                resend_leaves = []
-                for leaf in leaves:
-                    verdict, _st = yield from ctx.recv_obj(
-                        leaf, phase=_PH_LEADER_SYNC)
-                    if verdict == _RESEND:
-                        resend_leaves.append(leaf)
-                yield from ctx.send_obj(root, _OK if have_data else _RESEND,
-                                        phase=_PH_SYNC)
-                if not have_data:
-                    yield from ctx.recv(root, buf, offset, nbytes,
-                                        phase=_PH_RESEND)
-                for leaf in resend_leaves:
-                    yield from ctx.send(leaf, buf, offset, nbytes,
-                                        phase=_PH_LEADER_RESEND)
-                yield from self._release(core, my_cookie)
-            finally:
-                if my_cookie is not None:
-                    knem.reclaim(core, my_cookie)
-
-        else:  # leaf
-            leader = tree.leader_of(ctx.rank)
-            if leader == root:
-                # Root-set leaves read the whole message straight from the
-                # root region (the data is fully available from the start).
-                cookie, _ = yield from ctx.recv_obj(root, phase=_PH_COOKIE)
-                ok = False
-                if cookie != _DIRECT:
-                    ok = yield from self._copy_or_degrade(
-                        core, cookie, 0, buf, offset, nbytes, write=False)
-                yield from ctx.send_obj(root, _OK if ok else _RESEND,
-                                        phase=_PH_SYNC)
-                if not ok:
-                    yield from ctx.recv(root, buf, offset, nbytes,
-                                        phase=_PH_RESEND)
-            else:
-                cookie, _ = yield from ctx.recv_obj(leader,
-                                                    phase=_PH_LEADER_COOKIE)
-                ok = cookie != _DIRECT
-                for seg_off, seg_len in segs:
-                    flag, _st = yield from ctx.recv_obj(leader,
-                                                        phase=_PH_SEG_READY)
-                    if ok and flag is not None:
-                        ok = yield from self._copy_or_degrade(
-                            core, cookie, seg_off, buf, offset + seg_off,
-                            seg_len, write=False)
-                    else:
-                        ok = False
-                yield from ctx.send_obj(leader, _OK if ok else _RESEND,
-                                        phase=_PH_LEADER_SYNC)
-                if not ok:
-                    yield from ctx.recv(leader, buf, offset, nbytes,
-                                        phase=_PH_LEADER_RESEND)
-
-    def _bcast_multilevel(self, ctx: CollCtx, buf: SimBuffer, offset: int,
-                          nbytes: int, root: int):
-        """Generic relay-tree pipelined broadcast (board > domain > core).
-
-        Every relay registers its buffer once; each rank pulls segment *s*
-        from its parent's region as soon as the parent announces it (root
-        segments are available immediately), and re-announces to its own
-        children — one inter-board transfer per board instead of one per
-        far-board domain.
-        """
-        knem = self._knem
-        core = ctx.proc.core
-        tree = build_board_tree(ctx, root)
-        me = ctx.rank
-        par = tree.parent[me]
-        kids = tree.children[me]
-        segs = segments(nbytes, self._segsize(nbytes))
-
-        my_cookie = None
-        if kids:
-            my_cookie = yield from self._register_or_degrade(
-                core, buf, offset, nbytes, PROT_READ)
+        root = tree.root
+        parent = tree.parent[ctx.rank]
+        kids = tree.children[ctx.rank]
+        flags = FLAG_DMA if self.tuning.dma_offload else 0
+        cookie = None
         try:
-            post = _DIRECT if my_cookie is None else my_cookie
             have_data = True
-            if par is None:  # root: everything is available from the start
-                reqs = [ctx.isend_obj(kid, post, phase=_PH_COOKIE)
-                        for kid in kids]
-                for req in reqs:
-                    yield req.event
-            else:
-                parent_cookie, _ = yield from ctx.recv_obj(par,
-                                                           phase=_PH_COOKIE)
-                reqs = [ctx.isend_obj(kid, post, phase=_PH_COOKIE)
-                        for kid in kids]
-                for req in reqs:
-                    yield req.event
+            if parent is not None:
+                parent_cookie, _st = yield from ctx.recv_obj(parent,
+                                                             phase=_PH_COOKIE)
                 have_data = parent_cookie != _DIRECT
+            if kids:
+                cookie = yield from self._register_or_degrade(
+                    core, buf, offset, nbytes, PROT_READ)
+            post = _DIRECT if cookie is None else cookie
+            reqs = [ctx.isend_obj(kid, post, phase=_PH_COOKIE) for kid in kids]
+            if parent == root and not kids:
+                if have_data:
+                    have_data = yield from self._copy_or_degrade(
+                        core, parent_cookie, 0, buf, offset, nbytes, write=False,
+                        flags=flags)
+            elif parent is not None:
+                segs = segments(nbytes, self._segsize(nbytes))
                 for seg_index, (seg_off, seg_len) in enumerate(segs):
                     flag = seg_index
-                    if par != tree.root:
+                    if parent != root:
                         flag, _st = yield from ctx.recv_obj(
-                            par, phase=_PH_SEG_READY)
+                            parent, phase=_PH_SEG_READY)
                     if have_data and flag is not None:
                         have_data = yield from self._copy_or_degrade(
-                            core, parent_cookie, seg_off, buf,
-                            offset + seg_off, seg_len, write=False)
+                            core, parent_cookie, seg_off, buf, offset + seg_off,
+                            seg_len, write=False, flags=flags)
                     else:
                         have_data = False
+                    # Per-segment availability flags are cheap shared-memory
+                    # stores, but they execute on the relay's critical path —
+                    # the synchronization cost that makes too-small pipeline
+                    # segments lose (Section VI-B).
                     announce = seg_index if have_data else None
                     for kid in kids:
                         yield from ctx.send_obj(kid, announce,
                                                 phase=_PH_SEG_READY)
-            resend_kids = []
+            for req in reqs:
+                yield req.event
+            resend = []
             for kid in kids:
                 verdict, _st = yield from ctx.recv_obj(kid, phase=_PH_SYNC)
                 if verdict == _RESEND:
-                    resend_kids.append(kid)
-            if par is not None:
-                yield from ctx.send_obj(par, _OK if have_data else _RESEND,
+                    resend.append(kid)
+            if parent is not None:
+                yield from ctx.send_obj(parent, _OK if have_data else _RESEND,
                                         phase=_PH_SYNC)
                 if not have_data:
-                    yield from ctx.recv(par, buf, offset, nbytes,
+                    yield from ctx.recv(parent, buf, offset, nbytes,
                                         phase=_PH_RESEND)
-            for kid in resend_kids:
-                yield from ctx.send(kid, buf, offset, nbytes,
-                                    phase=_PH_RESEND)
-            yield from self._release(core, my_cookie)
+            for kid in resend:
+                yield from ctx.send(kid, buf, offset, nbytes, phase=_PH_RESEND)
+            yield from self._release(core, cookie)
         finally:
-            if my_cookie is not None:
-                knem.reclaim(core, my_cookie)
+            if cookie is not None:
+                knem.reclaim(core, cookie)
 
     # ------------------------------------------------------------------- scatter
     def scatterv(self, ctx: CollCtx, sendbuf: Optional[SimBuffer],

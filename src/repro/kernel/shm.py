@@ -296,7 +296,7 @@ class FifoSegment:
 
 
 class ShmWorld:
-    """Factory/registry for mailboxes and per-pair FIFOs on one machine."""
+    """Factory for mailboxes, registry of per-pair FIFOs on one machine."""
 
     def __init__(self, sim: Simulator, spec: MachineSpec, mem: MemorySystem,
                  costs: Optional[KernelCosts] = None):
@@ -304,7 +304,6 @@ class ShmWorld:
         self.spec = spec
         self.mem = mem
         self.costs = costs or KernelCosts()
-        self._mailboxes: dict[Any, Mailbox] = {}
         self._latencies = latency_table(spec)
         self._fifos: dict[tuple[int, int], FifoSegment] = {}
         self.fault_plan: Optional[FaultPlan] = None
@@ -322,17 +321,15 @@ class ShmWorld:
         for seg in self._fifos.values():
             seg.sanitizer = sanitizer
 
-    def mailbox(self, key: Any, owner_core: int) -> Mailbox:
-        """Get-or-create the mailbox named ``key`` owned by ``owner_core``."""
-        box = self._mailboxes.get(key)
-        if box is None:
-            box = Mailbox(self.sim, self.spec, owner_core, self.costs,
-                          self._latencies, name=f"mbox:{key}",
-                          tracer=self.mem.tracer)
-            self._mailboxes[key] = box
-        elif box.owner_core != owner_core:
-            raise ShmError(f"mailbox {key!r} already owned by core {box.owner_core}")
-        return box
+    def mailbox(self, owner_core: int, name: str) -> Mailbox:
+        """A new mailbox owned by ``owner_core``.
+
+        Every call makes a fresh one: two jobs on one machine must never
+        share a mailbox, or the first job's progress daemon, still parked
+        on it, would take the second job's messages.
+        """
+        return Mailbox(self.sim, self.spec, owner_core, self.costs,
+                       self._latencies, name=name, tracer=self.mem.tracer)
 
     def reclaim_core(self, core: int) -> int:
         """Reset every FIFO with a dead ``core`` endpoint; returns slots freed.

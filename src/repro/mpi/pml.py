@@ -85,7 +85,8 @@ class PmlEndpoint:
         self.sim = world.machine.sim
         self.tracer = world.machine.tracer
         self.stack = world.stack
-        self.mailbox = world.machine.shm.mailbox(("pml", proc.rank), proc.core)
+        self.mailbox = world.machine.shm.mailbox(proc.core,
+                                                 f"mbox:pml{proc.rank}")
         self.engines: dict[int, MatchEngine] = {}
         self._fin_waiters: dict[int, Any] = {}
         # Receives parked on a NACKed KNEM rendezvous, keyed by the sender's

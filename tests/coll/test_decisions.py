@@ -15,47 +15,66 @@ def make_ctx(machine="ig", nprocs=48, stack=stacks.KNEM_COLL, binding="linear"):
     return CollCtx(proc.comm, seq=1)
 
 
+def numa_sets(tree):
+    """The sets of a two-level tree: the root with the children that feed
+    nobody, and every relay with its children."""
+    root = tree.root
+    relays = [r for r in tree.children[root] if tree.children[r]]
+    own = [r for r in tree.children[root] if not tree.children[r]]
+    return [[root] + own] + [[r, *tree.children[r]] for r in relays]
+
+
 class TestHierarchyTree:
     def test_ig_tree_has_eight_groups(self):
         tree = build_tree(make_ctx(), root=0)
-        assert len(tree.groups) == 8
-        assert all(len(g) == 6 for g in tree.groups)
+        sets = numa_sets(tree)
+        assert len(sets) == 8
+        assert all(len(s) == 6 for s in sets)
         assert tree.root == 0
-        assert tree.leaders[0] == 0  # root's domain first, root leads it
+        assert sets[0] == [0, 1, 2, 3, 4, 5]  # the root leads its own set
 
     def test_groups_follow_numa_domains(self):
         tree = build_tree(make_ctx(), root=0)
         spec = Machine.build("ig").spec
-        for group in tree.groups:
-            domains = {spec.core_domain(r) for r in group}  # linear binding
+        for members in numa_sets(tree):
+            domains = {spec.core_domain(r) for r in members}  # linear binding
             assert len(domains) == 1
 
     def test_nonzero_root_leads_its_group(self):
         tree = build_tree(make_ctx(), root=13)
-        group = tree.group_of(13)
-        assert group[0] == 13
+        assert tree.parent[13] is None
         assert tree.role(13) == "root"
-        assert tree.leader_of(14) == 13  # 13 and 14 share domain 2
+        assert tree.parent[14] == 13  # 13 and 14 share domain 2
 
     def test_roles_partition(self):
         tree = build_tree(make_ctx(), root=0)
         roles = [tree.role(r) for r in range(48)]
         assert roles.count("root") == 1
-        assert roles.count("leader") == 7
+        assert roles.count("relay") == 7
         assert roles.count("leaf") == 40
 
     def test_leaves_of(self):
+        """The root feeds the 7 other leaders first, then its own leaves."""
         tree = build_tree(make_ctx(), root=0)
-        assert tree.leaves_of(0) == [1, 2, 3, 4, 5]
+        kids = tree.children[0]
+        assert [tree.role(r) for r in kids] == ["relay"] * 7 + ["leaf"] * 5
+        assert kids[7:] == (1, 2, 3, 4, 5)
+        assert tree.children[6] == (7, 8, 9, 10, 11)
+
+    def test_flat_tree(self):
+        tree = build_tree(make_ctx(), root=3, levels=1)
+        assert tree.children[3] == tuple(r for r in range(48) if r != 3)
+        assert tree.parent[3] is None
+        assert all(tree.role(r) == "leaf" for r in range(48) if r != 3)
 
     def test_rank_order_tree_ignores_topology(self):
         ctx = make_ctx(binding="scatter")
         aware = build_tree(ctx, root=0, topology_aware=True)
         naive = build_tree(ctx, root=0, topology_aware=False)
-        assert naive.groups != aware.groups
-        # naive groups are contiguous rank chunks
-        flat = [r for g in naive.groups for r in sorted(g)]
-        assert flat == sorted(flat)
+        assert naive.children != aware.children
+        # naive sets are contiguous rank chunks
+        flat = [r for s in numa_sets(naive) for r in sorted(s)]
+        assert flat == sorted(flat) == list(range(48))
 
     def test_tree_cached_per_root(self):
         ctx = make_ctx()

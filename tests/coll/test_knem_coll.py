@@ -62,6 +62,12 @@ class TestPersistentRegistration:
         assert machine.knem.stats_registrations == 8
         assert machine.knem.live_regions == 0
 
+    def test_single_rank_set_registers_no_region(self):
+        """On dancer's 5 ranks the second NUMA set holds rank 4 alone: it
+        feeds nobody, so only the root exports its buffer."""
+        machine, _ = run_on("dancer", 5, stacks.KNEM_COLL, bcast_prog, 1 * MiB)
+        assert machine.knem.stats_registrations == 1
+
 
 class TestDirectionControl:
     def test_gather_uses_write_region(self):
@@ -248,6 +254,17 @@ class TestDmaOffload:
         assert all(res.values)
         dma_copies = [r for r in machine.tracer.select("knem.copy") if r.dma]
         assert len(dma_copies) == 7
+
+    def test_dma_applies_to_the_default_hierarchy(self):
+        """Every copy of the two-level tree goes to the engine: the set
+        leader's pipelined pulls as well as the leaves' reads."""
+        stack = stacks.KNEM_COLL.with_tuning(dma_offload=True)
+        machine = Machine.build("dancer", trace=True)
+        job = Job(machine, nprocs=8, stack=stack)
+        job.run(bcast_prog, 256 * KiB)
+        copies = list(machine.tracer.select("knem.copy"))
+        assert len(copies) > 7  # the leader pulls segment by segment
+        assert all(r.dma for r in copies)
 
     def test_dma_serializes_versus_parallel_cores(self):
         """One DMA engine vs 7 receiver cores: offload frees the cores but

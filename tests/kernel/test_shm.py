@@ -40,7 +40,7 @@ class TestMailboxLatency:
 class TestMailbox:
     def test_post_delivers_after_latency(self, world):
         sim, spec, _mem, shm = world
-        box = shm.mailbox("x", owner_core=4)
+        box = shm.mailbox(4, "x")
         got = []
 
         def receiver():
@@ -59,7 +59,7 @@ class TestMailbox:
 
     def test_fifo_order_per_sender(self, world):
         sim, _spec, _mem, shm = world
-        box = shm.mailbox("y", owner_core=1)
+        box = shm.mailbox(1, "y")
         got = []
 
         def sender():
@@ -75,18 +75,6 @@ class TestMailbox:
         sim.process(receiver())
         sim.run()
         assert got == [0, 1, 2, 3, 4]
-
-    def test_ownership_conflict_rejected(self, world):
-        _sim, _spec, _mem, shm = world
-        shm.mailbox("z", owner_core=0)
-        with pytest.raises(ShmError):
-            shm.mailbox("z", owner_core=1)
-
-    def test_mailbox_reuse_same_owner(self, world):
-        _sim, _spec, _mem, shm = world
-        a = shm.mailbox("w", owner_core=2)
-        b = shm.mailbox("w", owner_core=2)
-        assert a is b
 
 
 class TestFifoSegment:

@@ -38,6 +38,22 @@ class TestMachine:
         job.run(prog)
         assert m.now > t1
 
+    def test_second_job_without_close_gets_its_own_mailboxes(self):
+        """The first job's progress daemons stay parked on its mailboxes
+        until ``Job.close()``; a second job must not share them."""
+        m = Machine.build("dancer")
+
+        def prog(proc):
+            if proc.rank == 0:
+                yield from proc.comm.send_obj(1, "ping")
+                return None
+            obj, _status = yield from proc.comm.recv_obj(0)
+            return obj
+
+        for _ in range(2):
+            job = Job(m, nprocs=2, stack=stacks.TUNED_SM)
+            assert job.run(prog).values == [None, "ping"]
+
     def test_tracer_disabled_by_default(self):
         m = Machine.build("dancer")
         assert not m.tracer.enabled
